@@ -765,7 +765,7 @@ let serve_cmd =
         Some oc
     in
     let dump_metrics path =
-      let body = Telemetry.Prometheus.render (Telemetry.collect ()) in
+      let body = Telemetry.Prometheus.render (Telemetry.collect_registry ()) in
       let tmp = path ^ ".tmp" in
       let oc = open_out tmp in
       output_string oc body;

@@ -129,11 +129,9 @@ type char_point = {
 }
 
 (* Misposition state shared by every point at one (drive, scheme): the
-   style-under-test layout with its prepared trial caches. *)
+   style-under-test layout compiled into the trial kernel. *)
 type mc_point = {
-  mp_prep : Layout.Cell.prepared;
-  mp_pun : Fault.Crossing.prepared;
-  mp_pdn : Fault.Crossing.prepared;
+  mp_kernel : Fault.Injector.kernel;
   mp_rows : int;
   mp_area : int;
 }
@@ -197,9 +195,7 @@ let run_on ~pool (config : config) =
            in
            Ok
              {
-               mp_prep = Layout.Cell.prepare cell;
-               mp_pun = Fault.Crossing.prepare cell.Layout.Cell.pun;
-               mp_pdn = Fault.Crossing.prepare cell.Layout.Cell.pdn;
+               mp_kernel = Fault.Injector.compile cell;
                mp_rows =
                  List.length cell.Layout.Cell.pun.Layout.Fabric.rows
                  + List.length cell.Layout.Cell.pdn.Layout.Fabric.rows;
@@ -235,13 +231,11 @@ let run_on ~pool (config : config) =
         let batch_fails =
           Parallel.Pool.map_reduce ~chunk:mc_chunk pool ~lo:n ~hi
             ~map:(fun clo chi ->
+              let s = Fault.Injector.scratch m.mp_kernel in
               let f = ref 0 in
               for i = clo to chi - 1 do
-                let failed, _, _, _ =
-                  Fault.Injector.run_trial icfg ~prep:m.mp_prep ~pun:m.mp_pun
-                    ~pdn:m.mp_pdn i
-                in
-                if failed then incr f
+                if (Fault.Injector.run_trial icfg m.mp_kernel s i).failed then
+                  incr f
               done;
               !f)
             ~reduce:( + ) ~init:0

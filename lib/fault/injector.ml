@@ -52,24 +52,79 @@ let trial_strays config ~pun ~pdn index =
   let pdn_tracks = spray pdn in
   (pun_tracks, pdn_tracks)
 
-let run_trial config ~prep ~pun ~pdn index =
-  let pun_tracks, pdn_tracks = trial_strays config ~pun ~pdn index in
-  let pun_extra = List.concat pun_tracks in
-  let pdn_extra = List.concat pdn_tracks in
-  let drives = Layout.Cell.drives_of_prepared prep ~pun_extra ~pdn_extra in
-  let got =
-    Logic.Truth.of_column
-      ~inputs:(Layout.Cell.prepared_inputs prep)
-      (Array.map Logic.Switch_graph.value_of_drive drives)
+type kernel = {
+  prep : Layout.Cell.prepared;
+  pun : Crossing.prepared;
+  pdn : Crossing.prepared;
+}
+
+let compile (cell : Layout.Cell.t) =
+  let prep = Layout.Cell.prepare cell in
+  let region ~pdn f =
+    Crossing.prepare
+      ~node_id:(Layout.Cell.dense_node prep ~pdn)
+      ~gate_mask:(Layout.Cell.input_mask prep)
+      f
   in
-  let failed =
-    not (Logic.Truth.equal got (Layout.Cell.prepared_reference prep))
+  {
+    prep;
+    pun = region ~pdn:false cell.Layout.Cell.pun;
+    pdn = region ~pdn:true cell.Layout.Cell.pdn;
+  }
+
+type scratch = {
+  hits : Crossing.scratch;
+  strays : Logic.Switch_graph.strays;
+  drives : Logic.Switch_graph.drive array;
+}
+
+let scratch k =
+  {
+    hits = Crossing.scratch ();
+    strays = Logic.Switch_graph.strays ();
+    drives =
+      Array.make (Layout.Cell.prepared_rows k.prep) Logic.Switch_graph.Floating;
+  }
+
+let drives s = s.drives
+
+type trial = {
+  failed : bool;
+  fight : bool;
+  floating : bool;
+  stray_edges : int;
+}
+
+(* The same draws in the same order as [trial_strays] — PUN tracks, then
+   PDN tracks — with each track's edges appended to the scratch buffer
+   instead of a list. *)
+let run_trial config k s index =
+  let rng = Parallel.Split_rng.state ~seed:config.seed ~stream:index in
+  Logic.Switch_graph.clear_strays s.strays;
+  let spray p =
+    let bbox = (Crossing.fabric p).Layout.Fabric.bbox in
+    for _ = 1 to config.tracks_per_trial do
+      Track.sample_into rng ~bbox ~max_angle_deg:config.max_angle_deg
+        ~margin:config.margin (Crossing.segment s.hits);
+      Crossing.strays_into p s.hits s.strays
+    done
   in
-  let fight = Array.exists (fun d -> d = Logic.Switch_graph.Fight) drives in
-  let floating =
-    Array.exists (fun d -> d = Logic.Switch_graph.Floating) drives
-  in
-  (failed, fight, floating, List.length pun_extra + List.length pdn_extra)
+  spray k.pun;
+  spray k.pdn;
+  Layout.Cell.drives_into k.prep s.strays s.drives;
+  let fight = ref false and floating = ref false in
+  for r = 0 to Array.length s.drives - 1 do
+    match s.drives.(r) with
+    | Logic.Switch_graph.Fight -> fight := true
+    | Logic.Switch_graph.Floating -> floating := true
+    | Logic.Switch_graph.High | Logic.Switch_graph.Low -> ()
+  done;
+  {
+    failed = not (Layout.Cell.matches_reference k.prep s.drives);
+    fight = !fight;
+    floating = !floating;
+    stray_edges = Logic.Switch_graph.stray_count s.strays;
+  }
 
 let style_slug = function
   | Layout.Cell.Immune_new -> "immune_new"
@@ -97,9 +152,7 @@ let run ?pool ?(domains = 1) config (cell : Layout.Cell.t) =
         ("domains", Telemetry.Int domains);
       ]
   @@ fun () ->
-  let prep = Layout.Cell.prepare cell in
-  let pun = Crossing.prepare cell.Layout.Cell.pun in
-  let pdn = Crossing.prepare cell.Layout.Cell.pdn in
+  let k = compile cell in
   let map lo hi =
     (* Worker domains have an empty span stack, so the chunk's parent is
        pinned explicitly to keep the span tree identical at any domain
@@ -107,15 +160,16 @@ let run ?pool ?(domains = 1) config (cell : Layout.Cell.t) =
     Telemetry.with_span ~parent:"fault.campaign" "fault.chunk"
       ~attrs:[ ("lo", Telemetry.Int lo); ("hi", Telemetry.Int hi) ]
     @@ fun () ->
+    let s = scratch k in
     let failures = ref 0 and shorts = ref 0 and fights = ref 0
     and floats = ref 0 and stray = ref 0 in
     for i = lo to hi - 1 do
-      let failed, fight, floating, edges = run_trial config ~prep ~pun ~pdn i in
-      if failed then incr failures;
-      if fight || floating then incr shorts;
-      if fight then incr fights;
-      if floating then incr floats;
-      stray := !stray + edges
+      let t = run_trial config k s i in
+      if t.failed then incr failures;
+      if t.fight || t.floating then incr shorts;
+      if t.fight then incr fights;
+      if t.floating then incr floats;
+      stray := !stray + t.stray_edges
     done;
     let n = hi - lo in
     Telemetry.counter_add "fault.trials" n;

@@ -59,15 +59,52 @@ val trial_strays : config -> pun:Crossing.prepared -> pdn:Crossing.prepared
     so a diagnosis layer (fault dictionaries, repair search) replays the
     very trials {!run} tallies.  Deterministic in [(config.seed, index)]. *)
 
-val run_trial : config -> prep:Layout.Cell.prepared -> pun:Crossing.prepared
-  -> pdn:Crossing.prepared -> int -> bool * bool * bool * int
-(** Evaluate one trial against a prepared cell:
-    [(failed, fight, floating, stray_edges)].  This is the exact per-trial
-    predicate {!run} tallies — spray {!trial_strays}, rebuild the drives,
+(** {2 Trial kernel}
+
+    The per-trial work of {!run}, compiled once per cell and run with
+    per-chunk scratch: tracks are written into a float array, clipped
+    against the flattened regions and their edges appended to a dense
+    buffer ({!Crossing.strays_into}), then evaluated as bitmask closures
+    ({!Layout.Cell.drives_into}).  A trial allocates only its
+    RNG, two boxed draws per track and the {!trial} record. *)
+
+type kernel = private {
+  prep : Layout.Cell.prepared;
+  pun : Crossing.prepared;  (** compiled with the cell's dense ids *)
+  pdn : Crossing.prepared;
+}
+(** Read-only; share it across domains. *)
+
+val compile : Layout.Cell.t -> kernel
+(** @raise Invalid_argument when the cell has more contact nodes than
+    {!Logic.Switch_graph.max_dense_nodes}. *)
+
+type scratch
+(** Working memory of {!run_trial}: one per domain, typically one per
+    {!Parallel.Pool.map_reduce} chunk. *)
+
+val scratch : kernel -> scratch
+
+val drives : scratch -> Logic.Switch_graph.drive array
+(** The drive table of the last {!run_trial} (overwritten by the next
+    one): what {!Layout.Cell.drives_of_prepared} returns for the
+    flattened {!trial_strays} of the same trial. *)
+
+type trial = {
+  failed : bool;  (** the truth table deviates from the reference *)
+  fight : bool;  (** some row has Out tied to both rails *)
+  floating : bool;  (** some row has Out tied to neither rail *)
+  stray_edges : int;  (** stray conduction edges of the trial *)
+}
+
+val run_trial : config -> kernel -> scratch -> int -> trial
+(** Evaluate one trial.  This is the exact per-trial predicate {!run}
+    tallies — spray the strays of {!trial_strays}, rebuild the drives,
     compare with the reference truth — exposed so adaptive campaigns (the
-    DSE engine's early-stopped yield estimates) can consume trials one
-    batch at a time while staying bit-identical to a full {!run} over the
-    same indices.  Deterministic in [(config.seed, index)]. *)
+    DSE engine's early-stopped yield estimates) and the test generator
+    can consume trials one batch at a time while staying bit-identical to
+    a full {!run} over the same indices.  Deterministic in
+    [(config.seed, index)]. *)
 
 val run : ?pool:Parallel.Pool.t -> ?domains:int -> config -> Layout.Cell.t
   -> outcome

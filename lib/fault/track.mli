@@ -10,14 +10,18 @@ type t = { seg : Geom.Segment.t }
 
 val horizontal : y:float -> x0:float -> x1:float -> t
 
-val through : bbox:Geom.Rect.t -> y_center:float -> angle_rad:float -> t
-(** Track crossing the whole box, passing through [y_center] at the box's
-    horizontal midpoint with the given slope angle; endpoints extend one
-    lambda beyond the box on each side. *)
-
 val sample : Random.State.t -> bbox:Geom.Rect.t -> max_angle_deg:float
   -> margin:float -> t
-(** Uniform [y_center] over the box extended by [margin] on top and bottom,
-    uniform angle in [±max_angle_deg]. *)
+(** A track crossing the whole box, passing through a height [y_center]
+    at the box's horizontal midpoint with a slope angle; its endpoints
+    extend one lambda beyond the box on each side.  [y_center] is uniform
+    over the box extended by [margin] on top and bottom, the angle
+    uniform in [±max_angle_deg]. *)
+
+val sample_into : Random.State.t -> bbox:Geom.Rect.t -> max_angle_deg:float
+  -> margin:float -> float array -> unit
+(** {!sample} written as [[| px; py; qx; qy |]] into the first four
+    slots of the array: the same draws and the same endpoints, without
+    building the segment. *)
 
 val pp : Format.formatter -> t -> unit

@@ -121,40 +121,124 @@ let pins t =
    so merging the two fabrics into one graph cannot capture nodes. *)
 let pdn_internal_offset = 10_000
 
+let offset_node off = function
+  | Logic.Switch_graph.Internal i -> Logic.Switch_graph.Internal (i + off)
+  | (Logic.Switch_graph.Vdd | Logic.Switch_graph.Gnd | Logic.Switch_graph.Out)
+    as n -> n
+
 let offset_edge off (e : Logic.Switch_graph.edge) =
-  let fix = function
-    | Logic.Switch_graph.Internal i -> Logic.Switch_graph.Internal (i + off)
-    | (Logic.Switch_graph.Vdd | Logic.Switch_graph.Gnd
-      | Logic.Switch_graph.Out) as n -> n
-  in
-  { e with Logic.Switch_graph.src = fix e.src; dst = fix e.dst }
+  {
+    e with
+    Logic.Switch_graph.src = offset_node off e.src;
+    dst = offset_node off e.dst;
+  }
 
 let reference_truth t =
   Logic.Truth.of_expr (Logic.Expr.Not t.fn.Logic.Cell_fun.core)
 
 (* The nominal row edges, the input list and the reference table do not
    change between fault-injection trials; [prepared] derives them once so
-   campaigns only pay per trial for the stray edges themselves.  The value
-   is immutable and safe to share read-only across domains. *)
+   campaigns only pay per trial for the stray edges themselves.  It also
+   holds the dense form of the row graph (see {!Logic.Switch_graph.dense}):
+   nodes of the merged namespace numbered Vdd, Gnd, Out, then internals in
+   ascending order, gate names turned into input bitmasks.  The value is
+   immutable and safe to share read-only across domains. *)
 type prepared = {
   base_edges : Logic.Switch_graph.edge list;  (* offsets already applied *)
   inputs : string list;
   reference : Logic.Truth.t;
+  node_ids : (Logic.Switch_graph.node * int) list;
+  dense : Logic.Switch_graph.dense;
+  expected : Logic.Truth.value array;  (* the column of [reference] *)
 }
 
+let input_mask_in inputs name =
+  let rec go k = function
+    | [] -> invalid_arg ("Layout.Cell.input_mask: unknown input " ^ name)
+    | x :: rest -> if x = name then 1 lsl k else go (k + 1) rest
+  in
+  go 0 inputs
+
+let node_id_in node_ids n =
+  match List.assoc_opt n node_ids with
+  | Some id -> id
+  | None -> invalid_arg "Layout.Cell: edge endpoint is not a node of the cell"
+
+let dense_edge ~node_ids ~inputs (e : Logic.Switch_graph.edge) =
+  let mask =
+    List.fold_left
+      (fun m g -> m lor input_mask_in inputs g)
+      0 e.Logic.Switch_graph.gates
+  in
+  let want =
+    match e.Logic.Switch_graph.polarity with
+    | Logic.Network.N_type -> mask
+    | Logic.Network.P_type -> 0
+  in
+  ( node_id_in node_ids e.Logic.Switch_graph.src,
+    node_id_in node_ids e.Logic.Switch_graph.dst,
+    mask,
+    want )
+
 let prepare t =
-  {
-    base_edges =
-      Logic.Switch_graph.edges (Fabric.switch_graph_of_rows t.pun)
-      @ List.map
-          (offset_edge pdn_internal_offset)
-          (Logic.Switch_graph.edges (Fabric.switch_graph_of_rows t.pdn));
-    inputs = Logic.Expr.inputs t.fn.Logic.Cell_fun.core;
-    reference = reference_truth t;
-  }
+  let base_edges =
+    Logic.Switch_graph.edges (Fabric.switch_graph_of_rows t.pun)
+    @ List.map
+        (offset_edge pdn_internal_offset)
+        (Logic.Switch_graph.edges (Fabric.switch_graph_of_rows t.pdn))
+  in
+  let inputs = Logic.Expr.inputs t.fn.Logic.Cell_fun.core in
+  let reference = reference_truth t in
+  let internals =
+    let contacts off f =
+      List.map (fun (n, _) -> offset_node off n) (Fabric.contacts f)
+    in
+    contacts 0 t.pun @ contacts pdn_internal_offset t.pdn
+    @ List.concat_map
+        (fun (e : Logic.Switch_graph.edge) -> [ e.src; e.dst ])
+        base_edges
+    |> List.filter_map (function
+         | Logic.Switch_graph.Internal i -> Some i
+         | Logic.Switch_graph.(Vdd | Gnd | Out) -> None)
+    |> List.sort_uniq Stdlib.compare
+  in
+  let node_ids =
+    Logic.Switch_graph.[ (Vdd, vdd_id); (Gnd, gnd_id); (Out, out_id) ]
+    @ List.mapi
+        (fun k i ->
+          (Logic.Switch_graph.Internal i, Logic.Switch_graph.out_id + 1 + k))
+        internals
+  in
+  let dense =
+    Logic.Switch_graph.dense ~nodes:(List.length node_ids)
+      ~inputs:(List.length inputs)
+      (List.map (dense_edge ~node_ids ~inputs) base_edges)
+  in
+  let expected =
+    Array.init (Logic.Truth.size reference) (Logic.Truth.value reference)
+  in
+  { base_edges; inputs; reference; node_ids; dense; expected }
 
 let prepared_reference p = p.reference
 let prepared_inputs p = p.inputs
+let prepared_rows p = Array.length p.expected
+
+let dense_node p ~pdn n =
+  let n = if pdn then offset_node pdn_internal_offset n else n in
+  Option.value ~default:(-1) (List.assoc_opt n p.node_ids)
+
+let input_mask p name = input_mask_in p.inputs name
+let drives_into p strays drives =
+  Logic.Switch_graph.drives_into p.dense strays drives
+
+let matches_reference p drives =
+  let r = ref 0 and n = Array.length p.expected in
+  while
+    !r < n && Logic.Switch_graph.value_of_drive drives.(!r) = p.expected.(!r)
+  do
+    incr r
+  done;
+  !r = n
 
 let graph_of_prepared p ~pun_extra ~pdn_extra =
   let graph = Logic.Switch_graph.create () in
@@ -166,15 +250,24 @@ let graph_of_prepared p ~pun_extra ~pdn_extra =
     pdn_extra;
   graph
 
-let truth_of_prepared p ~pun_extra ~pdn_extra =
-  Logic.Switch_graph.truth_table
-    (graph_of_prepared p ~pun_extra ~pdn_extra)
-    ~inputs:p.inputs
-
 let drives_of_prepared p ~pun_extra ~pdn_extra =
-  Logic.Switch_graph.drive_table
-    (graph_of_prepared p ~pun_extra ~pdn_extra)
-    ~inputs:p.inputs
+  let s = Logic.Switch_graph.strays () in
+  let push e =
+    let src, dst, mask, want =
+      dense_edge ~node_ids:p.node_ids ~inputs:p.inputs e
+    in
+    Logic.Switch_graph.push_stray s ~src ~dst ~mask ~want
+  in
+  List.iter push pun_extra;
+  List.iter (fun e -> push (offset_edge pdn_internal_offset e)) pdn_extra;
+  let drives = Array.make (prepared_rows p) Logic.Switch_graph.Floating in
+  drives_into p s drives;
+  drives
+
+let truth_of_prepared p ~pun_extra ~pdn_extra =
+  Logic.Truth.of_column ~inputs:p.inputs
+    (Array.map Logic.Switch_graph.value_of_drive
+       (drives_of_prepared p ~pun_extra ~pdn_extra))
 
 let graph_with t ~pun_extra ~pdn_extra =
   graph_of_prepared (prepare t) ~pun_extra ~pdn_extra

@@ -71,6 +71,8 @@ type prepared
     hence safe to share read-only across domains. *)
 
 val prepare : t -> prepared
+(** @raise Invalid_argument past {!Logic.Switch_graph.max_dense_nodes}
+    contact nodes (the catalog needs at most 5). *)
 
 val prepared_reference : prepared -> Logic.Truth.t
 (** Cached {!reference_truth}. *)
@@ -81,7 +83,10 @@ val prepared_inputs : prepared -> string list
 val truth_of_prepared : prepared -> pun_extra:Logic.Switch_graph.edge list
   -> pdn_extra:Logic.Switch_graph.edge list -> Logic.Truth.t
 (** {!truth_with} against the cached nominal edges: equal output for equal
-    input, without rebuilding the row graphs. *)
+    input, without rebuilding the row graphs.  The extra edges must join
+    contacts of their fabric and be gated by cell inputs
+    (@raise Invalid_argument otherwise) — the edges {!Fault.Crossing}
+    extracts always are. *)
 
 val drives_of_prepared : prepared -> pun_extra:Logic.Switch_graph.edge list
   -> pdn_extra:Logic.Switch_graph.edge list
@@ -89,7 +94,36 @@ val drives_of_prepared : prepared -> pun_extra:Logic.Switch_graph.edge list
 (** {!Logic.Switch_graph.drive_table} of the corrupted graph over
     {!prepared_inputs} — like {!truth_of_prepared} but keeping rail fights
     and floating outputs apart, which is what fault diagnosis classifies
-    on. *)
+    on.  Same conditions on the extra edges. *)
+
+(** {2 Dense evaluation}
+
+    The allocation-free trial kernel of the fault injector works on the
+    dense form of the prepared graph ({!Logic.Switch_graph.dense}): node
+    ids are Vdd, Gnd, Out, then the internals of both fabrics in one
+    namespace, and gate names are input bitmasks. *)
+
+val prepared_rows : prepared -> int
+(** Rows of the reference table, [2^(List.length (prepared_inputs p))]. *)
+
+val dense_node : prepared -> pdn:bool -> Logic.Switch_graph.node -> int
+(** Dense id of a contact node of the PUN ([~pdn:false]) or PDN fabric;
+    [-1] for a node the cell does not have. *)
+
+val input_mask : prepared -> string -> int
+(** The bit of a gate input, in {!Logic.Truth} row order.
+    @raise Invalid_argument for a name that is not a cell input. *)
+
+val drives_into : prepared -> Logic.Switch_graph.strays
+  -> Logic.Switch_graph.drive array -> unit
+(** {!drives_of_prepared} with the strays already in dense form, written
+    into a caller-owned array of {!prepared_rows} entries.  Allocates
+    nothing. *)
+
+val matches_reference : prepared -> Logic.Switch_graph.drive array -> bool
+(** Does every row's {!Logic.Switch_graph.value_of_drive} equal the
+    reference?  The row-by-row form of comparing {!truth_of_prepared}
+    with {!prepared_reference}. *)
 
 val check_function : t -> (unit, string) result
 (** Verify that nominal CNT rows of both fabrics realize the intended cell

@@ -128,3 +128,110 @@ let implements t e =
   let inputs = Expr.inputs e in
   let reference = Truth.of_expr (Expr.Not e) in
   Truth.equal (truth_table t ~inputs) reference
+
+(* --- dense evaluation ---------------------------------------------------
+
+   Nodes are small ints (Vdd = 0, Gnd = 1, Out = 2, internals after them)
+   and a node set is an int bitmask.  An edge conducts under input row [r]
+   when [r land mask = want]: [want = mask] for n-type (every gate high),
+   [want = 0] for p-type (every gate low). *)
+
+let vdd_id = 0
+let gnd_id = 1
+let out_id = 2
+let max_dense_nodes = Sys.int_size - 1
+
+(* edge [e] is [edges.(4e) .. edges.(4e + 3)] = src, dst, mask, want *)
+type strays = { mutable count : int; mutable edges : int array }
+
+let strays () = { count = 0; edges = Array.make 64 0 }
+let clear_strays s = s.count <- 0
+let stray_count s = s.count
+
+let push_stray s ~src ~dst ~mask ~want =
+  let at = 4 * s.count in
+  if at = Array.length s.edges then
+    s.edges <- Array.append s.edges (Array.make at 0);
+  s.edges.(at) <- src;
+  s.edges.(at + 1) <- dst;
+  s.edges.(at + 2) <- mask;
+  s.edges.(at + 3) <- want;
+  s.count <- s.count + 1
+
+type dense = {
+  nodes : int;
+  rows : int;
+  comp : int array;
+      (* [comp.(r * nodes + v)]: the node set of [v]'s connected component
+         under the conducting base edges of row [r] *)
+}
+
+let dense ~nodes ~inputs base =
+  if nodes > max_dense_nodes then
+    invalid_arg
+      (Printf.sprintf "Switch_graph.dense: %d nodes exceed the %d-bit mask"
+         nodes max_dense_nodes);
+  if inputs > 16 then invalid_arg "Switch_graph.dense: too many inputs";
+  let rows = 1 lsl inputs in
+  let comp = Array.make (rows * nodes) 0 in
+  for r = 0 to rows - 1 do
+    let at v = (r * nodes) + v in
+    for v = 0 to nodes - 1 do
+      comp.(at v) <- 1 lsl v
+    done;
+    (* merge endpoints of conducting edges until the partition is stable;
+       a merged set is written back to every member *)
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (a, b, mask, want) ->
+          if r land mask = want && comp.(at a) <> comp.(at b) then begin
+            let m = comp.(at a) lor comp.(at b) in
+            for v = 0 to nodes - 1 do
+              if m land (1 lsl v) <> 0 then comp.(at v) <- m
+            done;
+            changed := true
+          end)
+        base
+    done
+  done;
+  { nodes; rows; comp }
+
+let dense_rows d = d.rows
+
+(* The connected set of Out is grown from its base component: a
+   conducting stray edge with exactly one endpoint inside adds the other
+   endpoint's whole base component.  At the fixed point no conducting
+   edge (base or stray) leaves the set, so it is exactly the set the BFS
+   of [conducting_between] explores from Out. *)
+let drives_into d s drives =
+  let nodes = d.nodes and comp = d.comp and n = s.count and es = s.edges in
+  for r = 0 to d.rows - 1 do
+    let base = r * nodes in
+    let set = ref comp.(base + out_id) in
+    let changed = ref (n > 0) in
+    while !changed do
+      changed := false;
+      for e = 0 to n - 1 do
+        let at = 4 * e in
+        if r land es.(at + 2) = es.(at + 3) then begin
+          let a = es.(at) and b = es.(at + 1) in
+          let ina = !set land (1 lsl a) <> 0
+          and inb = !set land (1 lsl b) <> 0 in
+          if ina <> inb then begin
+            set := !set lor comp.(base + a) lor comp.(base + b);
+            changed := true
+          end
+        end
+      done
+    done;
+    drives.(r) <-
+      (match
+         (!set land (1 lsl vdd_id) <> 0, !set land (1 lsl gnd_id) <> 0)
+       with
+      | true, false -> High
+      | false, true -> Low
+      | true, true -> Fight
+      | false, false -> Floating)
+  done

@@ -63,3 +63,46 @@ val truth_table : t -> inputs:string list -> Truth.t
 
 val implements : t -> Expr.t -> bool
 (** Does the graph implement [F = (e)'] for the positive expression [e]? *)
+
+(** {1 Dense evaluation}
+
+    The fault-injection hot path evaluates one fixed graph plus a few
+    stray edges per trial.  In dense form nodes are small ints —
+    {!vdd_id}, {!gnd_id}, {!out_id}, internals after them — node sets are
+    int bitmasks, and an edge is [(src, dst, mask, want)]: it conducts
+    under input row [r] (row indexing as in {!drive_table}) when
+    [r land mask = want], with [mask] the bits of its gate inputs and
+    [want = mask] for n-type, [0] for p-type edges. *)
+
+val vdd_id : int
+val gnd_id : int
+val out_id : int
+
+val max_dense_nodes : int
+(** Node count a bitmask can hold ([Sys.int_size - 1]). *)
+
+type strays
+(** A growable buffer of dense stray edges, reused across trials. *)
+
+val strays : unit -> strays
+val clear_strays : strays -> unit
+val stray_count : strays -> int
+val push_stray : strays -> src:int -> dst:int -> mask:int -> want:int -> unit
+
+type dense
+(** A base graph compiled for dense evaluation: per input row, the
+    connected components of its conducting base edges.  Immutable. *)
+
+val dense : nodes:int -> inputs:int -> (int * int * int * int) list -> dense
+(** [dense ~nodes ~inputs base] compiles the base edges [(src, dst, mask,
+    want)] over [nodes] node ids and [2^inputs] rows.
+    @raise Invalid_argument above {!max_dense_nodes} nodes or 16
+    inputs. *)
+
+val dense_rows : dense -> int
+
+val drives_into : dense -> strays -> drive array -> unit
+(** [drives_into d s drives] writes, for every row, what drives [Out] in
+    the base graph plus the stray edges of [s] — the relation
+    {!output_drive} computes with two searches, here as one bitmask
+    closure per row.  Allocates nothing. *)

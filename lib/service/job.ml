@@ -190,6 +190,27 @@ let dse_config (j : dse_job) =
     adaptive = j.dse_adaptive;
   }
 
+(* The cost budget of one misposition campaign: a trial sprays
+   [tracks_per_trial] tracks per region, so trials x tracks bounds the
+   work (a zero-track trial still costs one evaluation). *)
+let max_tracks_per_trial = 64
+let max_track_trials = 4_000_000
+
+let check_mc_budget ~kind ~trials ~tracks_per_trial =
+  if tracks_per_trial > max_tracks_per_trial then
+    Core.Diag.failf ~stage
+      ~context:[ ("tracks_per_trial", string_of_int tracks_per_trial) ]
+      "%s job: tracks_per_trial above the %d service budget" kind
+      max_tracks_per_trial
+  else if trials > max_track_trials / max 1 tracks_per_trial then
+    Core.Diag.failf ~stage
+      ~context:
+        [ ("trials", string_of_int trials);
+          ("tracks_per_trial", string_of_int tracks_per_trial) ]
+      "%s job: trials x tracks_per_trial above the %d service budget" kind
+      max_track_trials
+  else Ok ()
+
 let validate = function
   | Flow j ->
     if j.aspect <= 0. || not (Float.is_finite j.aspect) then
@@ -224,7 +245,9 @@ let validate = function
       Core.Diag.failf ~stage
         ~context:[ ("tracks_per_trial", string_of_int j.tracks_per_trial) ]
         "fault job: tracks_per_trial must be non-negative"
-    else Ok ()
+    else
+      check_mc_budget ~kind:"fault" ~trials:j.trials
+        ~tracks_per_trial:j.tracks_per_trial
   | Characterize j ->
     if Logic.Cell_fun.find_opt j.char_cell = None then
       Core.Diag.failf ~stage
@@ -275,7 +298,9 @@ let validate = function
       Core.Diag.failf ~stage
         ~context:[ ("max_extra_tubes", string_of_int j.tg_max_extra_tubes) ]
         "testgen job: max_extra_tubes must be non-negative"
-    else Ok ()
+    else
+      check_mc_budget ~kind:"testgen" ~trials:j.tg_trials
+        ~tracks_per_trial:j.tg_tracks_per_trial
   | Dse j ->
     if Logic.Cell_fun.find_opt j.dse_cell = None then
       Core.Diag.failf ~stage
@@ -286,6 +311,15 @@ let validate = function
         ~context:[ ("max_trials", string_of_int j.dse_max_trials) ]
         "dse job: max_trials above the 20000 service budget"
     else Dse.Engine.validate (dse_config j)
+
+(* A float in a cache key.  "%g" keeps 6 significant digits, so on its
+   own it would give two jobs that differ further down one key; it is kept
+   where it parses back exactly, which leaves every existing key as it was,
+   and the shortest exact form is used everywhere else. *)
+let digest_float f =
+  let g = Printf.sprintf "%g" f in
+  if (not (Float.is_finite f)) || float_of_string g = f then g
+  else Json.shortest_float f
 
 (* The cache key: a stable fingerprint of every field that affects the
    result.  Flow jobs reuse the pipeline's own source digests so the
@@ -302,22 +336,25 @@ let digest t =
         | Netlist_text text -> Flow.Pipeline.source_digest (`Text text)
         | Generated spec -> "generated:" ^ spec
       in
-      Printf.sprintf "flow:%s:%s:%g" src (scheme_string j.scheme) j.aspect
+      Printf.sprintf "flow:%s:%s:%s" src (scheme_string j.scheme)
+        (digest_float j.aspect)
     | Fault j ->
-      Printf.sprintf "fault:%s:%d:%s:%d:%d:%g:%d" j.cell j.drive
-        (style_string j.style) j.trials j.tracks_per_trial j.max_angle_deg
-        j.seed
+      Printf.sprintf "fault:%s:%d:%s:%d:%d:%s:%d" j.cell j.drive
+        (style_string j.style) j.trials j.tracks_per_trial
+        (digest_float j.max_angle_deg) j.seed
     | Characterize j ->
       Printf.sprintf "characterize:%s:%d:%s" j.char_cell j.char_drive
         (String.concat "," (List.map string_of_int j.loads))
     | Testgen j ->
-      Printf.sprintf "testgen:%s:%d:%s:%s:%d:%d:%g:%d:%d:%g:%d" j.tg_cell
+      Printf.sprintf "testgen:%s:%d:%s:%s:%d:%d:%s:%d:%d:%s:%d" j.tg_cell
         j.tg_drive (style_string j.tg_style)
         (scheme_string j.tg_scheme)
-        j.tg_trials j.tg_tracks_per_trial j.tg_max_angle_deg j.tg_seed
-        j.tg_max_spares j.tg_p_good j.tg_max_extra_tubes
+        j.tg_trials j.tg_tracks_per_trial
+        (digest_float j.tg_max_angle_deg)
+        j.tg_seed j.tg_max_spares (digest_float j.tg_p_good)
+        j.tg_max_extra_tubes
     | Dse j ->
-      let floats xs = String.concat "," (List.map (Printf.sprintf "%g") xs) in
+      let floats xs = String.concat "," (List.map digest_float xs) in
       let ints xs = String.concat "," (List.map string_of_int xs) in
       Printf.sprintf "dse:%s:%s:%s:%s:%s:%s:%s:%d:%d:%d:%b" j.dse_cell
         (style_string j.dse_style)

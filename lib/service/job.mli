@@ -134,14 +134,19 @@ val describe : t -> string
 val validate : t -> (unit, Core.Diag.t) result
 (** Admission-control check: field domains a queued job would only
     discover at run time (non-positive trials, empty load sweep, unknown
-    layout style never happens — it is typed — but unknown cells do).
+    layout style never happens — it is typed — but unknown cells do) and
+    the cost budgets: dse [max_trials <= 20000]; fault and testgen
+    [tracks_per_trial <= 64] and [trials * max 1 tracks_per_trial <=
+    4_000_000].  Each rejection names its field in the [Diag] context.
     Rejected submissions never enter the queue. *)
 
 val digest : t -> string
 (** Stable hex fingerprint of the full description; the result-cache
     key.  Flow jobs incorporate {!Flow.Pipeline.source_digest} of their
     resolved source, so the key agrees with the pipeline's own notion of
-    input identity. *)
+    input identity.  Float fields print with ["%g"] when that parses back
+    exactly and in their shortest exact form otherwise, so jobs that
+    differ only past the sixth significant digit get distinct keys. *)
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, Core.Diag.t) result

@@ -38,6 +38,10 @@ val to_string : t -> string
 
     All return [option]; absent members and type mismatches are [None]. *)
 
+val shortest_float : float -> string
+(** Shortest ["%.15g"]/["%.16g"]/["%.17g"] form that parses back to
+    exactly the given finite float. *)
+
 val member : string -> t -> t option
 (** [member k (Obj ...)] is the first binding of [k], if any. *)
 

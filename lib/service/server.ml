@@ -221,7 +221,9 @@ let metrics_event () =
       ("ok", Json.Bool true);
       ("event", Json.Str "metrics");
       ("content_type", Json.Str "text/plain; version=0.0.4");
-      ("body", Json.Str (Telemetry.Prometheus.render (Telemetry.collect ())));
+      ( "body",
+        Json.Str (Telemetry.Prometheus.render (Telemetry.collect_registry ()))
+      );
     ]
 
 let handle_drain ?on_event ?workers sched =

@@ -215,15 +215,13 @@ let canon_counters l =
 
 let merge_counters a b = canon_counters (a @ b)
 
-let collect () =
+let shards () =
   Mutex.lock registry_lock;
   let shards = !registry in
   Mutex.unlock registry_lock;
-  let spans =
-    List.concat_map (fun (s : shard) -> s.spans) shards
-    |> List.sort (fun a b ->
-           compare (a.start_ns, a.shard, a.name) (b.start_ns, b.shard, b.name))
-  in
+  shards
+
+let merge_registry shards =
   let counters =
     List.fold_left
       (fun acc (s : shard) ->
@@ -258,7 +256,21 @@ let collect () =
       shards;
     Hashtbl.fold (fun k h acc -> (k, h) :: acc) tbl [] |> List.sort by_name
   in
-  { spans; counters; gauges; hists }
+  { spans = []; counters; gauges; hists }
+
+(* The scrape path: counters, gauges and histograms only.  Spans grow
+   with uptime, so merging and sorting them here made every scrape slower
+   than the last. *)
+let collect_registry () = merge_registry (shards ())
+
+let collect () =
+  let shards = shards () in
+  let spans =
+    List.concat_map (fun (s : shard) -> s.spans) shards
+    |> List.sort (fun a b ->
+           compare (a.start_ns, a.shard, a.name) (b.start_ns, b.shard, b.name))
+  in
+  { (merge_registry shards) with spans }
 
 let span_shape snap =
   let tbl = Hashtbl.create 16 in

@@ -147,6 +147,11 @@ val collect : unit -> snapshot
 (** Merge every shard into one snapshot.  Does not clear anything; only
     call once concurrent instrumented work has finished. *)
 
+val collect_registry : unit -> snapshot
+(** {!collect} without the spans ([spans = []]): the merged counters,
+    gauges and histograms, at a cost independent of how many spans have
+    been recorded.  What a metrics scrape renders. *)
+
 val merge_counters :
   (string * int) list -> (string * int) list -> (string * int) list
 (** The counter-merge used by {!collect}: per-name sum, result

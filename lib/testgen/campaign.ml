@@ -60,9 +60,8 @@ let run ?pool ?(domains = 1) config (cell : Layout.Cell.t) =
         ("domains", Telemetry.Int domains);
       ]
   @@ fun () ->
-  let prep = Layout.Cell.prepare cell in
-  let pun = Fault.Crossing.prepare cell.Layout.Cell.pun in
-  let pdn = Fault.Crossing.prepare cell.Layout.Cell.pdn in
+  let k = Fault.Injector.compile cell in
+  let prep = k.Fault.Injector.prep in
   let reference = Layout.Cell.prepared_reference prep in
   let trials = config.fault.Fault.Injector.trials in
   let nbuckets = config.max_spares + 2 in
@@ -70,32 +69,35 @@ let run ?pool ?(domains = 1) config (cell : Layout.Cell.t) =
     Telemetry.with_span ~parent:"testgen.campaign" "testgen.chunk"
       ~attrs:[ ("lo", Telemetry.Int lo); ("hi", Telemetry.Int hi) ]
     @@ fun () ->
+    let s = Fault.Injector.scratch k in
     let sigs = ref Sig_map.empty in
     let hist = Array.make nbuckets 0 in
     for i = lo to hi - 1 do
-      let pun_tracks, pdn_tracks =
-        Fault.Injector.trial_strays config.fault ~pun ~pdn i
-      in
-      let drives =
-        Layout.Cell.drives_of_prepared prep
-          ~pun_extra:(List.concat pun_tracks)
-          ~pdn_extra:(List.concat pdn_tracks)
-      in
-      match Dictionary.classify ~reference drives with
-      | [] -> hist.(0) <- hist.(0) + 1
-      | signature ->
+      if not (Fault.Injector.run_trial config.fault k s i).failed then
+        hist.(0) <- hist.(0) + 1
+      else begin
+        let signature =
+          Dictionary.classify ~reference (Fault.Injector.drives s)
+        in
         sigs :=
           Sig_map.update signature
             (function
               | None -> Some (1, i)
               | Some (count, first) -> Some (count + 1, min first i))
             !sigs;
+        (* only failing trials need the per-track edge lists that the
+           repair search removes track by track *)
+        let pun_tracks, pdn_tracks =
+          Fault.Injector.trial_strays config.fault ~pun:k.Fault.Injector.pun
+            ~pdn:k.Fault.Injector.pdn i
+        in
         let bucket =
           match Repair.min_repair_cost ~prep ~pun_tracks ~pdn_tracks with
           | Some cost when cost <= config.max_spares -> cost
           | Some _ | None -> config.max_spares + 1
         in
         hist.(bucket) <- hist.(bucket) + 1
+      end
     done;
     Telemetry.counter_add "testgen.trials" (hi - lo);
     Telemetry.counter_add "testgen.failing" (hi - lo - hist.(0));

@@ -244,6 +244,143 @@ let hits_match_naive_scan =
       in
       Fault.Crossing.hits f seg = naive)
 
+(* The list reference path, built from parts the trial kernel does not
+   use: all-items naive clipping, [Crossing.edges_of_hits], the graph of
+   [Layout.Cell.graph_with] and the two searches of [drive_table]. *)
+let naive_edges (f : Layout.Fabric.t) seg =
+  Geom.Index.naive_segment
+    (List.map
+       (fun (p : Layout.Fabric.placed) ->
+         (p.Layout.Fabric.rect, p.Layout.Fabric.elem))
+       f.Layout.Fabric.items)
+    seg
+  |> List.map (fun (t0, t1, elem) ->
+         { Fault.Crossing.at = (t0 +. t1) /. 2.; elem })
+  |> List.sort (fun (a : Fault.Crossing.hit) b ->
+         Stdlib.compare a.Fault.Crossing.at b.Fault.Crossing.at)
+  |> Fault.Crossing.edges_of_hits ~polarity:f.Layout.Fabric.polarity
+
+let reference_drives (cell : Layout.Cell.t) ~pun_extra ~pdn_extra =
+  Logic.Switch_graph.drive_table
+    (Layout.Cell.graph_with cell ~pun_extra ~pdn_extra)
+    ~inputs:(Logic.Expr.inputs cell.Layout.Cell.fn.Logic.Cell_fun.core)
+
+let reference_trial (cfg : Fault.Injector.config) (cell : Layout.Cell.t) index =
+  let rng =
+    Parallel.Split_rng.state ~seed:cfg.Fault.Injector.seed ~stream:index
+  in
+  let spray (f : Layout.Fabric.t) =
+    List.init cfg.Fault.Injector.tracks_per_trial (fun _ ->
+        Fault.Track.sample rng ~bbox:f.Layout.Fabric.bbox
+          ~max_angle_deg:cfg.Fault.Injector.max_angle_deg
+          ~margin:cfg.Fault.Injector.margin)
+    |> List.concat_map (fun (t : Fault.Track.t) ->
+           naive_edges f t.Fault.Track.seg)
+  in
+  let pun_extra = spray cell.Layout.Cell.pun in
+  let pdn_extra = spray cell.Layout.Cell.pdn in
+  let drives = reference_drives cell ~pun_extra ~pdn_extra in
+  let got =
+    Logic.Truth.of_column
+      ~inputs:(Logic.Expr.inputs cell.Layout.Cell.fn.Logic.Cell_fun.core)
+      (Array.map Logic.Switch_graph.value_of_drive drives)
+  in
+  ( not (Logic.Truth.equal got (Layout.Cell.reference_truth cell)),
+    Array.mem Logic.Switch_graph.Fight drives,
+    Array.mem Logic.Switch_graph.Floating drives,
+    List.length pun_extra + List.length pdn_extra )
+
+let cell_gen =
+  QCheck.Gen.(
+    let* fn = oneofl Logic.Cell_fun.all in
+    let* style =
+      oneofl Layout.Cell.[ Immune_new; Immune_old; Vulnerable; Cmos ]
+    in
+    let* scheme = oneofl Layout.Cell.[ Scheme1; Scheme2 ] in
+    let* drive = oneofl [ 1; 2; 4 ] in
+    return (Layout.Cell.make_exn ~rules ~fn ~style ~scheme ~drive))
+
+let kernel_matches_reference =
+  QCheck.Test.make ~count:150
+    ~name:"trial kernel = list reference (random cells, seeds, tracks, angles)"
+    (QCheck.make
+       ~print:(fun ((cell : Layout.Cell.t), seed, tracks, angle) ->
+         Printf.sprintf "%s scheme%s seed=%d tracks=%d angle=%g"
+           cell.Layout.Cell.name
+           (match cell.Layout.Cell.scheme with
+           | Layout.Cell.Scheme1 -> "1"
+           | Layout.Cell.Scheme2 -> "2")
+           seed tracks angle)
+       QCheck.Gen.(
+         quad cell_gen (int_bound 1_000_000) (int_range 0 8)
+           (float_range 0. 15.)))
+    (fun (cell, seed, tracks_per_trial, max_angle_deg) ->
+      let cfg =
+        { Fault.Injector.default_config with
+          Fault.Injector.trials = 1; seed; tracks_per_trial; max_angle_deg }
+      in
+      let k = Fault.Injector.compile cell in
+      let s = Fault.Injector.scratch k in
+      let trials_agree =
+        List.for_all
+          (fun i ->
+            let t = Fault.Injector.run_trial cfg k s i in
+            (t.failed, t.fight, t.floating, t.stray_edges)
+            = reference_trial cfg cell i)
+          (List.init 12 Fun.id)
+      in
+      (* horizontal tracks exactly on every item boundary, one region at a
+         time, through the kernel's scan and dense evaluator *)
+      let boundary_agrees ~pdn (f : Layout.Fabric.t) region =
+        let hits = Fault.Crossing.scratch () in
+        let strays = Logic.Switch_graph.strays () in
+        let drives =
+          Array.make (Layout.Cell.prepared_rows k.Fault.Injector.prep)
+            Logic.Switch_graph.Floating
+        in
+        List.for_all
+          (fun (p : Layout.Fabric.placed) ->
+            List.for_all
+              (fun y ->
+                let x0 = float_of_int f.Layout.Fabric.bbox.Geom.Rect.x0 -. 1.
+                and x1 = float_of_int f.Layout.Fabric.bbox.Geom.Rect.x1 +. 1. in
+                let y = float_of_int y in
+                let seg = Fault.Crossing.segment hits in
+                seg.(0) <- x0; seg.(1) <- y; seg.(2) <- x1; seg.(3) <- y;
+                Logic.Switch_graph.clear_strays strays;
+                Fault.Crossing.strays_into region hits strays;
+                Layout.Cell.drives_into k.Fault.Injector.prep strays drives;
+                let extra =
+                  naive_edges f
+                    (Geom.Segment.make (Geom.Vec.v x0 y) (Geom.Vec.v x1 y))
+                in
+                let pun_extra, pdn_extra =
+                  if pdn then ([], extra) else (extra, [])
+                in
+                drives = reference_drives cell ~pun_extra ~pdn_extra)
+              [ p.Layout.Fabric.rect.Geom.Rect.y0;
+                p.Layout.Fabric.rect.Geom.Rect.y1 ])
+          f.Layout.Fabric.items
+      in
+      trials_agree
+      && boundary_agrees ~pdn:false cell.Layout.Cell.pun k.Fault.Injector.pun
+      && boundary_agrees ~pdn:true cell.Layout.Cell.pdn k.Fault.Injector.pdn)
+
+(* The trial kernel's allocation budget: the split RNG (about 61 words),
+   two boxed draws per track and the trial record.  A regression to
+   per-trial lists, hashtables or closures lands far above the pin. *)
+let kernel_allocation_pin () =
+  let cell = mk Layout.Cell.Immune_new "NAND3" in
+  let trials = 2000 in
+  let cfg = { Fault.Injector.default_config with Fault.Injector.trials } in
+  ignore (Fault.Injector.run ~domains:1 cfg cell : Fault.Injector.outcome);
+  let w0 = Gc.minor_words () in
+  ignore (Fault.Injector.run ~domains:1 cfg cell : Fault.Injector.outcome);
+  let per_trial = (Gc.minor_words () -. w0) /. float_of_int trials in
+  if per_trial > 256. then
+    Alcotest.failf "Injector.run allocates %.0f words per trial (pin: 256)"
+      per_trial
+
 let injector_domains_deterministic () =
   let cell = mk Layout.Cell.Vulnerable "NAND2" in
   let cfg = { Fault.Injector.default_config with Fault.Injector.trials = 200 } in
@@ -344,6 +481,9 @@ let suite =
     QCheck_alcotest.to_alcotest hits_sorted_and_in_bbox;
     QCheck_alcotest.to_alcotest hits_prepared_agrees;
     QCheck_alcotest.to_alcotest hits_match_naive_scan;
+    QCheck_alcotest.to_alcotest kernel_matches_reference;
+    Alcotest.test_case "trial kernel allocation pin" `Quick
+      kernel_allocation_pin;
     Alcotest.test_case "failure rate math" `Quick failure_rate_math;
     Alcotest.test_case "verify_immunity API" `Quick verify_immunity_api;
   ]

@@ -195,6 +195,56 @@ let job_validate_and_digest () =
   checkb "testgen and fault digests differ" true
     (t1 <> Job.digest (Job.fault ~style:Layout.Cell.Vulnerable "NAND2"))
 
+(* Floats in a digest: "%g" alone keeps 6 significant digits, so two
+   jobs differing further down shared a cache entry. *)
+let digest_float_collisions () =
+  checkb "aspects equal to 6 digits get distinct digests" true
+    (Job.digest (Job.flow ~aspect:1.2345671 (Job.Ripple 4))
+    <> Job.digest (Job.flow ~aspect:1.2345674 (Job.Ripple 4)));
+  checkb "fault angles equal to 6 digits get distinct digests" true
+    (Job.digest (Job.fault ~max_angle_deg:8.0000001 "NAND2")
+    <> Job.digest (Job.fault ~max_angle_deg:8.0000002 "NAND2"));
+  checkb "dse pitches equal to 6 digits get distinct digests" true
+    (Job.digest (Job.dse ~pitches:[ 4.0000001 ] "NAND2")
+    <> Job.digest (Job.dse ~pitches:[ 4.0000002 ] "NAND2"));
+  (* md5 of the canonical "flow:ripple:4:s2:1.5": existing keys stay *)
+  check_str "aspect=1.5 keeps its digest"
+    "flow-4a3c44f2c39a186f820f212db7c2ee64"
+    (Job.digest (Job.flow ~aspect:1.5 (Job.Ripple 4)))
+
+(* fault and testgen jobs carry a cost budget, like dse's max_trials *)
+let mc_cost_budget () =
+  let rejected_on field job =
+    match Job.validate job with
+    | Ok () -> false
+    | Error d -> List.mem_assoc field d.Core.Diag.context
+  in
+  checkb "fault at the trial budget accepted" true
+    (Job.validate (Job.fault ~trials:1_000_000 ~tracks_per_trial:4 "NAND2")
+    = Ok ());
+  checkb "fault one trial over the budget rejected" true
+    (rejected_on "trials"
+       (Job.fault ~trials:1_000_001 ~tracks_per_trial:4 "NAND2"));
+  checkb "zero-track fault counts one per trial" true
+    (Job.validate (Job.fault ~trials:4_000_000 ~tracks_per_trial:0 "NAND2")
+     = Ok ()
+    && rejected_on "trials"
+         (Job.fault ~trials:4_000_001 ~tracks_per_trial:0 "NAND2"));
+  checkb "fault at 64 tracks accepted" true
+    (Job.validate (Job.fault ~trials:10 ~tracks_per_trial:64 "NAND2") = Ok ());
+  checkb "fault above 64 tracks rejected" true
+    (rejected_on "tracks_per_trial"
+       (Job.fault ~trials:10 ~tracks_per_trial:65 "NAND2"));
+  checkb "testgen at the trial budget accepted" true
+    (Job.validate (Job.testgen ~trials:2_000_000 ~tracks_per_trial:2 "NAND2")
+    = Ok ());
+  checkb "testgen over the trial budget rejected" true
+    (rejected_on "trials"
+       (Job.testgen ~trials:2_000_001 ~tracks_per_trial:2 "NAND2"));
+  checkb "testgen above 64 tracks rejected" true
+    (rejected_on "tracks_per_trial"
+       (Job.testgen ~trials:10 ~tracks_per_trial:65 "NAND2"))
+
 (* --- scheduler: the four acceptance properties --- *)
 
 let quick_jobs () =
@@ -976,6 +1026,37 @@ let health_and_metrics_ops () =
              samples)
       | _ -> Alcotest.fail "one metrics event expected")
 
+(* A scrape renders the registry only: its cost must not grow with the
+   spans recorded over the server's uptime. *)
+let metrics_scrape_skips_spans () =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+  @@ fun () ->
+  for i = 1 to 2000 do
+    Telemetry.with_span "scrape.test" (fun () ->
+        Telemetry.counter_add "scrape.test.count" 1;
+        Telemetry.gauge_set "scrape.test.last" (float_of_int i))
+  done;
+  let full = Telemetry.collect () and reg = Telemetry.collect_registry () in
+  check_int "collect sees the spans" 2000 (List.length full.Telemetry.spans);
+  checkb "the registry snapshot carries no spans" true
+    (reg.Telemetry.spans = []);
+  checkb "same counters, gauges and histograms" true
+    (reg = { full with Telemetry.spans = [] });
+  Scheduler.with_scheduler
+    ~config:{ Scheduler.default_config with clock = Scheduler.Virtual }
+    (fun t ->
+      match Server.handle t "{\"op\":\"metrics\"}" with
+      | [ e ] ->
+        check_str "scrape renders the registry snapshot"
+          (Telemetry.Prometheus.render (Telemetry.collect_registry ()))
+          (str_member "body" e)
+      | _ -> Alcotest.fail "one metrics event expected")
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick json_roundtrip;
@@ -989,6 +1070,9 @@ let suite =
     Alcotest.test_case "job codec rejects" `Quick job_codec_rejects;
     Alcotest.test_case "job validate and digest" `Quick
       job_validate_and_digest;
+    Alcotest.test_case "digest floats do not collide" `Quick
+      digest_float_collisions;
+    Alcotest.test_case "fault and testgen cost budget" `Quick mc_cost_budget;
     Alcotest.test_case "replay invariant across domains" `Slow
       replay_domain_invariance;
     Alcotest.test_case "bounded queue rejects overload" `Quick
@@ -1019,4 +1103,6 @@ let suite =
     Alcotest.test_case "generated trace ids deterministic" `Quick
       generated_trace_ids_deterministic;
     Alcotest.test_case "health and metrics ops" `Quick health_and_metrics_ops;
+    Alcotest.test_case "metrics scrape skips spans" `Quick
+      metrics_scrape_skips_spans;
   ]
