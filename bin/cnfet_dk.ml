@@ -841,8 +841,8 @@ let serve_cmd =
                 st.Service.Server.accepted st.Service.Server.conn_errors
                 st.Service.Server.idle_closed st.Service.Server.dropped
             | None ->
-              Service.Server.serve ?on_tick ?workers:pool sched stdin
-                stdout));
+              Service.Server.serve_fds ?on_tick ?workers:pool sched
+                ~input:Unix.stdin ~output:Unix.stdout));
     (match metrics_out with Some path -> dump_metrics path | None -> ());
     (match event_sink with
     | Some oc ->
@@ -879,8 +879,8 @@ let serve_cmd =
           $ queue_high_water $ replay $ journal $ workers $ metrics_out
           $ event_log $ telemetry_arg $ trace_out_arg)
 
-(* worker: the child end of `serve --workers N`.  A plain stdio NDJSON
-   server with no cache dir and no journal of its own — the parent owns
+(* worker: the child end of `serve --workers N`.  The stdio serve loop
+   with no cache dir and no journal of its own — the parent owns
    both; the child only executes.  Usable standalone for debugging:
    `echo '{"op":"submit",...}' | cnfet_dk worker`. *)
 
@@ -901,7 +901,7 @@ let worker_cmd =
       }
     in
     Service.Scheduler.with_scheduler ~config (fun sched ->
-        Service.Server.serve sched stdin stdout);
+        Service.Server.serve_fds sched ~input:Unix.stdin ~output:Unix.stdout);
     0
   in
   let doc =

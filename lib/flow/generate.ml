@@ -363,8 +363,15 @@ let random_logic ~gates ~inputs ~seed =
       }
   end
 
+type spec =
+  | Full_adder
+  | Mult of int
+  | Ripple of int
+  | Lfsr of { bits : int; steps : int }
+  | Rand of { gates : int; seed : int }
+
 (* "mult16", "lfsr32x100", "rand1000s7", "ripple8", "full_adder" *)
-let of_spec spec =
+let parse_spec spec =
   let num s =
     match int_of_string_opt s with
     | Some n -> Ok n
@@ -381,47 +388,95 @@ let of_spec spec =
               (String.length spec - String.length prefix))
     else None
   in
-  if spec = "full_adder" then Ok (Full_adder.netlist ())
+  (* "<a><sep><b>" after the prefix *)
+  let pair rest sep ~kind ~shape =
+    match String.index_opt rest sep with
+    | None ->
+      Core.Diag.failf ~stage
+        ~context:[ ("spec", spec) ]
+        "%s spec must look like %s%s, got %s" kind kind shape spec
+    | Some i ->
+      let* a = num (String.sub rest 0 i) in
+      let* b = num (String.sub rest (i + 1) (String.length rest - i - 1)) in
+      Ok (a, b)
+  in
+  if spec = "full_adder" then Ok Full_adder
   else
-    match strip "mult" with
-    | Some rest ->
+    match (strip "mult", strip "ripple", strip "lfsr", strip "rand") with
+    | Some rest, _, _, _ ->
       let* bits = num rest in
-      multiplier ~bits
-    | None -> (
-      match strip "ripple" with
-      | Some rest ->
-        let* bits = num rest in
-        Ripple_adder.netlist ~bits
-      | None -> (
-        match strip "lfsr" with
-        | Some rest -> (
-          match String.index_opt rest 'x' with
-          | None ->
-            Core.Diag.failf ~stage
-              ~context:[ ("spec", spec) ]
-              "lfsr spec must look like lfsr<bits>x<steps>, got %s" spec
-          | Some i ->
-            let* bits = num (String.sub rest 0 i) in
-            let* steps =
-              num (String.sub rest (i + 1) (String.length rest - i - 1))
-            in
-            lfsr ~bits ~steps)
-        | None -> (
-          match strip "rand" with
-          | Some rest -> (
-            match String.index_opt rest 's' with
-            | None ->
-              Core.Diag.failf ~stage
-                ~context:[ ("spec", spec) ]
-                "rand spec must look like rand<gates>s<seed>, got %s" spec
-            | Some i ->
-              let* gates = num (String.sub rest 0 i) in
-              let* seed =
-                num (String.sub rest (i + 1) (String.length rest - i - 1))
-              in
-              random_logic ~gates ~inputs:12 ~seed)
-          | None ->
-            Core.Diag.failf ~stage
-              ~context:[ ("spec", spec) ]
-              "unknown design spec %s (try mult<N>, lfsr<N>x<S>, rand<G>s<S>, \
-               ripple<N>, full_adder)" spec)))
+      Ok (Mult bits)
+    | _, Some rest, _, _ ->
+      let* bits = num rest in
+      Ok (Ripple bits)
+    | _, _, Some rest, _ ->
+      let* bits, steps = pair rest 'x' ~kind:"lfsr" ~shape:"<bits>x<steps>" in
+      Ok (Lfsr { bits; steps })
+    | _, _, _, Some rest ->
+      let* gates, seed = pair rest 's' ~kind:"rand" ~shape:"<gates>s<seed>" in
+      Ok (Rand { gates; seed })
+    | None, None, None, None ->
+      Core.Diag.failf ~stage
+        ~context:[ ("spec", spec) ]
+        "unknown design spec %s (try mult<N>, lfsr<N>x<S>, rand<G>s<S>, \
+         ripple<N>, full_adder)" spec
+
+let of_spec spec =
+  let* parsed = parse_spec spec in
+  match parsed with
+  | Full_adder -> Ok (Full_adder.netlist ())
+  | Mult bits -> multiplier ~bits
+  | Ripple bits -> Ripple_adder.netlist ~bits
+  | Lfsr { bits; steps } -> lfsr ~bits ~steps
+  | Rand { gates; seed } -> random_logic ~gates ~inputs:12 ~seed
+
+(* Instance count of [multiplier ~bits], replaying its column reduction
+   on bit counts alone: an and2 is 2 instances, a full adder 8 (two xor2
+   with both complements, MAJ3I, INV), a half adder 5, an empty column's
+   constant zero 3, an output buffer 2.  Every net is consumed once, so
+   no complement is ever shared. *)
+let multiplier_instances bits =
+  let cols =
+    Array.init (2 * bits) (fun p -> max 0 (bits - abs (p - (bits - 1))))
+  in
+  let n = ref (2 * bits * bits) in
+  for p = 0 to (2 * bits) - 1 do
+    let carry () = if p + 1 < 2 * bits then cols.(p + 1) <- cols.(p + 1) + 1 in
+    let k = ref cols.(p) in
+    while !k >= 3 do
+      n := !n + 8;
+      carry ();
+      k := !k - 2
+    done;
+    if !k = 2 then begin
+      n := !n + 5;
+      carry ()
+    end;
+    if !k = 0 then n := !n + 3;
+    n := !n + 2
+  done;
+  !n
+
+(* [per * count + fixed], saturating instead of overflowing *)
+let affine ~per ~fixed count =
+  if count > (max_int - fixed) / per then max_int else (per * count) + fixed
+
+let instance_bound = function
+  | Full_adder -> List.length (Full_adder.netlist ()).Netlist_ir.instances
+  | Mult bits when bits < 1 -> 0
+  | Mult bits when bits > 64 -> max_int
+  | Mult bits -> multiplier_instances bits
+  | Ripple bits ->
+    affine
+      ~per:(List.length (Full_adder.netlist ()).Netlist_ir.instances)
+      ~fixed:0 bits
+  | Lfsr { bits; _ } when bits > 62 -> max_int
+  | Lfsr { bits; _ } when bits > 62 -> max_int
+  | Lfsr { bits; steps } ->
+    (* per step, one xor2 per extra tap, each with at most two fresh
+       complements; then two buffers per state bit *)
+    affine ~per:(3 * (List.length (taps_for bits) - 1)) ~fixed:(2 * bits) steps
+  | Rand { gates; _ } ->
+    (* a gate is one cell plus at most three complements (mux2); up to
+       eight outputs take two buffers each *)
+    affine ~per:4 ~fixed:16 gates

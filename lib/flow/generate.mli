@@ -38,7 +38,26 @@ val random_logic :
     [Z0..].  Same (gates, inputs, seed) always yields the same design
     (local SplitMix64; no global [Random] state). *)
 
-val of_spec : string -> (Netlist_ir.t, Core.Diag.t) result
+type spec =
+  | Full_adder
+  | Mult of int
+  | Ripple of int
+  | Lfsr of { bits : int; steps : int }
+  | Rand of { gates : int; seed : int }
+
+val parse_spec : string -> (spec, Core.Diag.t) result
 (** Parse a compact design spec: ["mult16"], ["lfsr32x100"],
     ["rand1000s7"] (12 inputs), ["ripple8"], ["full_adder"].  Errors name
-    the offending spec. *)
+    the offending spec.  Ranges are left to the generators. *)
+
+val of_spec : string -> (Netlist_ir.t, Core.Diag.t) result
+(** {!parse_spec}, then build the design. *)
+
+val instance_bound : spec -> int
+(** An upper bound on the instance count of the design, computed from
+    the spec's numbers without building it: exact for [Full_adder],
+    [Mult] and [Ripple], a per-step / per-gate worst case for [Lfsr] and
+    [Rand] (complements the generator memoizes are counted as fresh).
+    Multipliers and LFSRs wider than the generators accept bound at
+    [max_int];
+    huge counts saturate there instead of overflowing. *)

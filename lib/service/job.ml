@@ -211,6 +211,34 @@ let check_mc_budget ~kind ~trials ~tracks_per_trial =
       max_track_trials
   else Ok ()
 
+(* A flow job's cost is its design's size.  No generated spec may
+   exceed mult64, the largest multiplier the generator builds; the count
+   comes from the spec's numbers, never from building the design. *)
+let max_generated_instances =
+  Flow.Generate.instance_bound (Flow.Generate.Mult 64)
+
+(* A characterize job runs every arc's transient simulation once per
+   load point, and each INV1X of load adds a gate to that netlist: the
+   cost is linear in the points and grows with the load.  16 points
+   cover a timing-table axis; 64 INV1X is four times the fanout such a
+   table usually spans. *)
+let max_load_points = 16
+let max_load_inv1x = 64
+
+let check_generated spec =
+  match Flow.Generate.parse_spec spec with
+  | Error d -> Error d
+  | Ok parsed ->
+  let bound = Flow.Generate.instance_bound parsed in
+  if bound > max_generated_instances then
+    Core.Diag.failf ~stage
+      ~context:
+        [ ("spec", spec); ("instances", string_of_int bound);
+          ("limit", string_of_int max_generated_instances) ]
+      "flow job: design %s above the %d-instance service budget (mult64)"
+      spec max_generated_instances
+  else Ok ()
+
 let validate = function
   | Flow j ->
     if j.aspect <= 0. || not (Float.is_finite j.aspect) then
@@ -227,6 +255,7 @@ let validate = function
         Core.Diag.fail ~stage "flow job: empty netlist text"
       | Generated "" ->
         Core.Diag.fail ~stage "flow job: empty design spec"
+      | Generated spec -> check_generated spec
       | _ -> Ok ())
   | Fault j ->
     if Logic.Cell_fun.find_opt j.cell = None then
@@ -259,12 +288,20 @@ let validate = function
         "characterize job: drive must be positive"
     else if j.loads = [] then
       Core.Diag.fail ~stage "characterize job: empty load sweep"
+    else if List.length j.loads > max_load_points then
+      Core.Diag.failf ~stage
+        ~context:[ ("loads", string_of_int (List.length j.loads)) ]
+        "characterize job: more than %d load points" max_load_points
     else (
-      match List.find_opt (fun l -> l < 0) j.loads with
-      | Some l ->
+      match List.find_opt (fun l -> l < 0 || l > max_load_inv1x) j.loads with
+      | Some l when l < 0 ->
         Core.Diag.failf ~stage
           ~context:[ ("load", string_of_int l) ]
           "characterize job: loads must be non-negative"
+      | Some l ->
+        Core.Diag.failf ~stage
+          ~context:[ ("load", string_of_int l) ]
+          "characterize job: load above %d INV1X" max_load_inv1x
       | None -> Ok ())
   | Testgen j ->
     if Logic.Cell_fun.find_opt j.tg_cell = None then

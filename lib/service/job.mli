@@ -137,8 +137,16 @@ val validate : t -> (unit, Core.Diag.t) result
     layout style never happens — it is typed — but unknown cells do) and
     the cost budgets: dse [max_trials <= 20000]; fault and testgen
     [tracks_per_trial <= 64] and [trials * max 1 tracks_per_trial <=
-    4_000_000].  Each rejection names its field in the [Diag] context.
-    Rejected submissions never enter the queue. *)
+    4_000_000]; a generated flow design must parse and its
+    {!Flow.Generate.instance_bound} must not exceed
+    {!max_generated_instances}; a characterize sweep holds at most
+    16 loads of at most 64 INV1X each.
+    Each rejection names its field in the [Diag] context.  Rejected
+    submissions never enter the queue. *)
+
+val max_generated_instances : int
+(** The instance count of mult64, the largest multiplier the generator
+    accepts. *)
 
 val digest : t -> string
 (** Stable hex fingerprint of the full description; the result-cache

@@ -219,7 +219,6 @@ let append t entry =
 
 let appends t = t.nappends
 let healthy t = t.fd <> None
-let path t = t.jpath
 
 let close t =
   match t.fd with

@@ -63,6 +63,10 @@ val load : string -> (loaded, Core.Diag.t) result
 type t
 (** An open journal, positioned for appends. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents (the cache directory
+    uses it too). *)
+
 val open_append : string -> (t, Core.Diag.t) result
 (** Open (creating the file and its parent directories as needed) for
     appending.  Existing content is kept — call {!load} first and
@@ -77,8 +81,6 @@ val appends : t -> int
 
 val healthy : t -> bool
 (** [false] once an append has failed and the journal disabled itself. *)
-
-val path : t -> string
 
 val close : t -> unit
 (** Close the fd.  No truncation, no compaction — the on-disk state is

@@ -67,11 +67,8 @@ type jrec = {
 
 type t = {
   config : config;
-  (* serialises every public entry point: multiple connections (or
-     threads) drive one scheduler through the facade at the bottom of
-     this file.  All functions above that facade assume the lock is held
-     (or the scheduler is confined to one thread). *)
-  lock : Mutex.t;
+  (* the pool and the pass cache belong to whichever domain runs
+     [run_dispatched]; everything else to the owning thread *)
   pool : Parallel.Pool.t;
   pass_cache : Core.Pass.cache;
   (* one FIFO per class; dequeue scans High, Normal, Low in order *)
@@ -83,7 +80,6 @@ type t = {
   created_wall_ms : float;  (* wall clock at create, for uptime *)
   mutable vnow_ms : float;  (* virtual clock; unused in Wall mode *)
   mutable next_id : int;
-  mutable queued_count : int;
   queued_by : int array;  (* per-class depth: High, Normal, Low *)
   mutable executed : int;
   mutable cache_hits : int;
@@ -121,6 +117,16 @@ let queue_for t = function
   | Low -> t.q_low
 
 let class_index = function High -> 0 | Normal -> 1 | Low -> 2
+let queued t = Array.fold_left ( + ) 0 t.queued_by
+
+let count_queued t r delta =
+  let ci = class_index r.jpriority in
+  t.queued_by.(ci) <- t.queued_by.(ci) + delta
+
+(* to the back of its class FIFO *)
+let enqueue t r =
+  Queue.push r (queue_for t r.jpriority);
+  count_queued t r 1
 
 let now_ms t =
   match t.config.clock with
@@ -131,16 +137,6 @@ let advance t ms =
   match t.config.clock with
   | Virtual -> t.vnow_ms <- t.vnow_ms +. ms
   | Wall -> ()
-
-let mkdir_p dir =
-  (* cache dirs are shallow (_artifacts/service_cache); build each level *)
-  let rec build d =
-    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      build (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  build dir
 
 (* [cache_store] writes through [<digest>.json.tmp.<pid>]; a writer that
    died between creating the tmp and renaming it leaves an orphan no one
@@ -171,7 +167,7 @@ let create ?(config = default_config) () =
     invalid_arg "Scheduler.create: capacity must be >= 1";
   Option.iter
     (fun dir ->
-      mkdir_p dir;
+      Journal.mkdir_p dir;
       sweep_orphan_tmps dir)
     config.cache_dir;
   let jnl =
@@ -184,7 +180,6 @@ let create ?(config = default_config) () =
   in
   {
     config;
-    lock = Mutex.create ();
     pool = Parallel.Pool.create ~domains:config.domains ();
     pass_cache = Core.Pass.cache_create ();
     q_high = Queue.create ();
@@ -195,7 +190,6 @@ let create ?(config = default_config) () =
     created_wall_ms = Int64.to_float (Telemetry.now_ns ()) /. 1e6;
     vnow_ms = 0.;
     next_id = 0;
-    queued_count = 0;
     queued_by = Array.make 3 0;
     executed = 0;
     cache_hits = 0;
@@ -214,16 +208,13 @@ let create ?(config = default_config) () =
   }
 
 let shutdown t =
-  Mutex.lock t.lock;
-  let was_closed = t.closed in
-  t.closed <- true;
-  (* closing never truncates or compacts: the on-disk journal must look
-     exactly like a crash left it, so recovery has one code path *)
-  Option.iter Journal.close t.jnl;
-  Mutex.unlock t.lock;
-  (* join the pool outside the lock: a worker must never need it, but a
-     status query racing the shutdown should not block on the join *)
-  if not was_closed then Parallel.Pool.shutdown t.pool
+  if not t.closed then begin
+    t.closed <- true;
+    (* closing never truncates or compacts: the on-disk journal must look
+       exactly like a crash left it, so recovery has one code path *)
+    Option.iter Journal.close t.jnl;
+    Parallel.Pool.shutdown t.pool
+  end
 
 let with_scheduler ?config f =
   let t = create ?config () in
@@ -261,6 +252,12 @@ let fresh_trace_id id job =
 
 let jappend t entry = Option.iter (fun j -> Journal.append j entry) t.jnl
 
+let tally t = function
+  | Done _ -> t.done_count <- t.done_count + 1
+  | Failed _ -> t.failed_count <- t.failed_count + 1
+  | Cancelled -> t.cancelled_count <- t.cancelled_count + 1
+  | Expired _ -> t.expired_count <- t.expired_count + 1
+
 let outcome_string = function
   | Done _ -> "done"
   | Failed _ -> "failed"
@@ -287,17 +284,17 @@ let submit t ?(priority = Normal) ?deadline_ms ?cost_ms ?trace_id job =
       | _, Some c when not (c > 0. && Float.is_finite c) ->
         bad_positive "cost_ms" c
       | _ ->
-        if t.queued_count >= t.config.capacity then
+        if queued t >= t.config.capacity then
           reject t
             (Core.Diag.errorf ~stage
                ~context:
                  [
                    ("capacity", string_of_int t.config.capacity);
-                   ("queued", string_of_int t.queued_count);
+                   ("queued", string_of_int (queued t));
                    ("priority", priority_string priority);
                    ("job", Job.describe job);
                  ]
-               "queue full: %d of %d jobs waiting" t.queued_count
+               "queue full: %d of %d jobs waiting" (queued t)
                t.config.capacity)
         else begin
           let id = t.next_id in
@@ -321,10 +318,7 @@ let submit t ?(priority = Normal) ?deadline_ms ?cost_ms ?trace_id job =
             }
           in
           Hashtbl.replace t.jobs id r;
-          Queue.push r (queue_for t priority);
-          t.queued_count <- t.queued_count + 1;
-          let ci = class_index priority in
-          t.queued_by.(ci) <- t.queued_by.(ci) + 1;
+          enqueue t r;
           (* the WAL write happens before the submission is acknowledged:
              an accepted job survives a crash *)
           jappend t
@@ -355,12 +349,10 @@ let cancel t id =
   | Some r -> (
     match r.jstate with
     | Queued ->
-      (* leave it in its FIFO; run_next skips non-Queued records *)
+      (* leave it in its FIFO; dequeue skips non-Queued records *)
       r.jstate <- Finished Cancelled;
-      t.queued_count <- t.queued_count - 1;
-      let ci = class_index r.jpriority in
-      t.queued_by.(ci) <- t.queued_by.(ci) - 1;
-      t.cancelled_count <- t.cancelled_count + 1;
+      count_queued t r (-1);
+      tally t Cancelled;
       jappend t
         (Journal.Settle
            {
@@ -427,7 +419,12 @@ let cache_store t digest result =
       (try Sys.remove tmp with Sys_error _ -> ()))
 
 (* ------------------------------------------------------------------ *)
-(* Execution                                                          *)
+(* Dispatch: every execution pops a job with [next_dispatch], runs it
+   somewhere — [run_dispatched] on the calling domain, the server's
+   executor domain, or a worker process — and settles it with
+   [complete_dispatch], or puts it back with [requeue_dispatch] when a
+   worker dies mid-job.  Dequeue policy, deadline expiry, the cache and
+   the journal live here once, whatever runs the job. *)
 
 let wait_buckets = [| 1.; 10.; 100.; 1000.; 10_000. |]
 
@@ -453,19 +450,14 @@ let finish t r outcome ~queue_wait_ms =
          tdigest = Job.digest r.jjob;
          toutcome = outcome_string outcome;
        });
+  tally t outcome;
   let event, extra =
     match outcome with
-    | Done { cached; _ } ->
-      t.done_count <- t.done_count + 1;
-      ("job.done", [ ("cached", Telemetry.Bool cached) ])
+    | Done { cached; _ } -> ("job.done", [ ("cached", Telemetry.Bool cached) ])
     | Failed d ->
-      t.failed_count <- t.failed_count + 1;
       ("job.failed", [ ("reason", Telemetry.String d.Core.Diag.message) ])
-    | Cancelled ->
-      t.cancelled_count <- t.cancelled_count + 1;
-      ("job.cancelled", [])
+    | Cancelled -> ("job.cancelled", [])
     | Expired { late_ms } ->
-      t.expired_count <- t.expired_count + 1;
       Telemetry.counter_add "service.expired" 1;
       Telemetry.instant "service.expired"
         ~attrs:
@@ -490,100 +482,23 @@ let finish t r outcome ~queue_wait_ms =
     trace_id = r.jtrace;
   }
 
-let execute t r ~queue_wait_ms =
-  let digest = Job.digest r.jjob in
-  match cache_lookup t digest with
-  | Some result ->
-    t.cache_hits <- t.cache_hits + 1;
-    Telemetry.counter_add "service.cache_hits" 1;
-    Telemetry.instant "service.cache_hit"
-      ~attrs:
-        [
-          ("digest", Telemetry.String digest);
-          ("trace_id", Telemetry.String r.jtrace);
-        ];
-    Telemetry.Events.emit ~trace_id:r.jtrace "job.cache_hit"
-      ~attrs:
-        [ ("id", Telemetry.Int r.jid); ("digest", Telemetry.String digest) ];
-    finish t r (Done { cached = true; wall_ms = 0.; result }) ~queue_wait_ms
-  | None ->
-    t.executed <- t.executed + 1;
-    let attrs =
-      [
-        ("job", Telemetry.String (Job.describe r.jjob));
-        ("kind", Telemetry.String (Job.kind r.jjob));
-        ("priority", Telemetry.String (priority_string r.jpriority));
-        ("queue_wait_ms", Telemetry.Float queue_wait_ms);
-        ("trace_id", Telemetry.String r.jtrace);
-      ]
-    in
-    let started = now_ms t in
-    let outcome =
-      Telemetry.with_span "service.job" ~attrs (fun () ->
-          Runner.run ~pool:t.pool ~pass_cache:t.pass_cache r.jjob)
-    in
-    advance t r.cost_ms;
-    let wall_ms =
-      match t.config.clock with
-      | Virtual -> r.cost_ms
-      | Wall -> now_ms t -. started
-    in
-    (match outcome with
-    | Ok result ->
-      cache_store t digest result;
-      finish t r (Done { cached = false; wall_ms; result }) ~queue_wait_ms
-    | Error d -> finish t r (Failed d) ~queue_wait_ms)
+type run = {
+  disp_id : int;
+  disp_job : Job.t;
+  disp_digest : string;
+  disp_trace : string;
+  disp_priority : priority;
+  disp_queue_wait_ms : float;
+  disp_cost_ms : float;
+}
 
-let run_next t =
-  match dequeue t with
-  | None -> None
-  | Some r ->
-    t.queued_count <- t.queued_count - 1;
-    let ci = class_index r.jpriority in
-    t.queued_by.(ci) <- t.queued_by.(ci) - 1;
-    let queue_wait_ms = now_ms t -. r.arrival_ms in
-    Telemetry.histogram_observe "service.queue_wait_ms"
-      ~buckets:wait_buckets queue_wait_ms;
-    let completion =
-      match r.deadline_ms with
-      | Some d when queue_wait_ms > d ->
-        finish t r (Expired { late_ms = queue_wait_ms -. d }) ~queue_wait_ms
-      | _ ->
-        r.jstate <- Running;
-        Telemetry.Events.emit ~trace_id:r.jtrace "job.started"
-          ~attrs:
-            [
-              ("id", Telemetry.Int r.jid);
-              ("queue_wait_ms", Telemetry.Float queue_wait_ms);
-            ];
-        execute t r ~queue_wait_ms
-    in
-    Some completion
-
-(* ------------------------------------------------------------------ *)
-(* Out-of-process dispatch: the worker-sharding server pops jobs with
-   [next_dispatch] instead of [run_next], ships them to a child process,
-   and settles them with [complete_dispatch] — or puts them back with
-   [requeue_dispatch] when the child dies mid-job.  The dequeue policy,
-   the deadline check, the cache and the journal are exactly the
-   in-process ones; only the execution happens elsewhere. *)
-
-type dispatch =
-  | Run of {
-      disp_id : int;
-      disp_job : Job.t;
-      disp_digest : string;
-      disp_trace : string;
-    }
-  | Resolved of completion
+type dispatch = Run of run | Resolved of completion
 
 let next_dispatch t =
   match dequeue t with
   | None -> None
   | Some r ->
-    t.queued_count <- t.queued_count - 1;
-    let ci = class_index r.jpriority in
-    t.queued_by.(ci) <- t.queued_by.(ci) - 1;
+    count_queued t r (-1);
     let queue_wait_ms = now_ms t -. r.arrival_ms in
     Telemetry.histogram_observe "service.queue_wait_ms" ~buckets:wait_buckets
       queue_wait_ms;
@@ -598,6 +513,12 @@ let next_dispatch t =
         | Some result ->
           t.cache_hits <- t.cache_hits + 1;
           Telemetry.counter_add "service.cache_hits" 1;
+          Telemetry.instant "service.cache_hit"
+            ~attrs:
+              [
+                ("digest", Telemetry.String digest);
+                ("trace_id", Telemetry.String r.jtrace);
+              ];
           Telemetry.Events.emit ~trace_id:r.jtrace "job.cache_hit"
             ~attrs:
               [
@@ -622,7 +543,32 @@ let next_dispatch t =
               disp_job = r.jjob;
               disp_digest = digest;
               disp_trace = r.jtrace;
+              disp_priority = r.jpriority;
+              disp_queue_wait_ms = queue_wait_ms;
+              disp_cost_ms = r.cost_ms;
             }))
+
+let run_dispatched t run =
+  let attrs =
+    [
+      ("job", Telemetry.String (Job.describe run.disp_job));
+      ("kind", Telemetry.String (Job.kind run.disp_job));
+      ("priority", Telemetry.String (priority_string run.disp_priority));
+      ("queue_wait_ms", Telemetry.Float run.disp_queue_wait_ms);
+      ("trace_id", Telemetry.String run.disp_trace);
+    ]
+  in
+  let started = Telemetry.now_ns () in
+  let result =
+    Telemetry.with_span "service.job" ~attrs (fun () ->
+        Runner.run ~pool:t.pool ~pass_cache:t.pass_cache run.disp_job)
+  in
+  (* the virtual clock reports the declared cost, so replayed records do
+     not depend on how long the job really took *)
+  ( result,
+    match t.config.clock with
+    | Virtual -> run.disp_cost_ms
+    | Wall -> Int64.to_float (Int64.sub (Telemetry.now_ns ()) started) /. 1e6 )
 
 let complete_dispatch t id ?(wall_ms = 0.) result =
   match Hashtbl.find_opt t.jobs id with
@@ -651,18 +597,73 @@ let requeue_dispatch t id =
     if r.jstate = Running && Hashtbl.mem t.dispatched id then begin
       Hashtbl.remove t.dispatched id;
       r.jstate <- Queued;
-      (* back of its class FIFO: re-arrivals queue behind their peers,
-         and the journal still holds the unsettled Submit record *)
-      Queue.push r (queue_for t r.jpriority);
-      t.queued_count <- t.queued_count + 1;
-      let ci = class_index r.jpriority in
-      t.queued_by.(ci) <- t.queued_by.(ci) + 1;
+      (* re-arrivals queue behind their peers, and the journal still
+         holds the unsettled Submit record *)
+      enqueue t r;
       Telemetry.counter_add "service.requeued" 1;
       Telemetry.Events.emit ~trace_id:r.jtrace "job.requeued"
         ~attrs:[ ("id", Telemetry.Int r.jid) ]
     end
 
 let dispatched_count t = Hashtbl.length t.dispatched
+
+(* The synchronous path: dispatch, run on this domain, settle. *)
+let run_next t =
+  match next_dispatch t with
+  | None -> None
+  | Some (Resolved c) -> Some c
+  | Some (Run run) ->
+    let result, wall_ms = run_dispatched t run in
+    complete_dispatch t run.disp_id ~wall_ms result
+
+let drain ?on_completion t =
+  let rec loop acc =
+    match run_next t with
+    | None -> List.rev acc
+    | Some c ->
+      Option.iter (fun f -> f c) on_completion;
+      loop (c :: acc)
+  in
+  loop []
+
+let await t id =
+  let rec loop () =
+    match state t id with
+    | Error d -> Error d
+    | Ok (Finished outcome) -> Ok outcome
+    | Ok _ -> (
+      match run_next t with
+      | Some _ -> loop ()
+      | None ->
+        (* queued but not in any FIFO: impossible unless state was
+           corrupted externally *)
+        Core.Diag.failf ~stage "job %d is stuck (queue empty)" id)
+  in
+  loop ()
+
+let stats t =
+  {
+    queued = queued t;
+    queued_high = t.queued_by.(0);
+    queued_normal = t.queued_by.(1);
+    queued_low = t.queued_by.(2);
+    executed = t.executed;
+    cache_hits = t.cache_hits;
+    done_ = t.done_count;
+    failed = t.failed_count;
+    cancelled = t.cancelled_count;
+    expired = t.expired_count;
+    rejected = t.rejected_count;
+    capacity = t.config.capacity;
+  }
+
+let trace_id t id = Option.map (fun r -> r.jtrace) (Hashtbl.find_opt t.jobs id)
+
+let uptime_ms t =
+  (* wall-clock age regardless of the scheduling clock: the virtual
+     clock freezes between jobs, which is useless for "how long has this
+     server been up" *)
+  (Int64.to_float (Telemetry.now_ns ()) /. 1e6) -. t.created_wall_ms
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: replay the journal against the persisted digest
@@ -727,20 +728,13 @@ let recover t =
               incr nsettled;
               let r = jrec (Finished outcome) in
               Hashtbl.replace t.jobs id r;
-              match outcome with
-              | Done _ -> t.done_count <- t.done_count + 1
-              | Failed _ -> t.failed_count <- t.failed_count + 1
-              | Cancelled -> t.cancelled_count <- t.cancelled_count + 1
-              | Expired _ -> t.expired_count <- t.expired_count + 1
+              tally t outcome
             in
             let requeue () =
               incr nrequeued;
               let r = jrec Queued in
               Hashtbl.replace t.jobs id r;
-              Queue.push r (queue_for t priority);
-              t.queued_count <- t.queued_count + 1;
-              let ci = class_index priority in
-              t.queued_by.(ci) <- t.queued_by.(ci) + 1;
+              enqueue t r;
               pending :=
                 Journal.Submit
                   {
@@ -826,91 +820,6 @@ let journal_info t =
         ji_truncated = t.jnl_truncated;
         ji_compactions = t.jnl_compactions;
       }
-
-(* ------------------------------------------------------------------ *)
-(* Thread-safe facade.
-
-   Everything above runs unlocked; the wrappers below shadow the entry
-   points with mutex-guarded versions, so several server connections (or
-   threads) can drive one scheduler without corrupting the queues or the
-   counters.  [run_next] holds the lock across the job it executes —
-   batched, one-at-a-time execution is the model (parallelism lives
-   inside jobs, on the pool), and it is what keeps replay deterministic.
-   [drain] and [await] take the lock once per step, never nesting it, so
-   they interleave fairly with concurrent submissions. *)
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let submit t ?priority ?deadline_ms ?cost_ms ?trace_id job =
-  with_lock t (fun () -> submit t ?priority ?deadline_ms ?cost_ms ?trace_id job)
-
-let cancel t id = with_lock t (fun () -> cancel t id)
-let state t id = with_lock t (fun () -> state t id)
-let run_next t = with_lock t (fun () -> run_next t)
-let now_ms t = with_lock t (fun () -> now_ms t)
-let next_dispatch t = with_lock t (fun () -> next_dispatch t)
-
-let complete_dispatch t id ?wall_ms result =
-  with_lock t (fun () -> complete_dispatch t id ?wall_ms result)
-
-let requeue_dispatch t id = with_lock t (fun () -> requeue_dispatch t id)
-let dispatched_count t = with_lock t (fun () -> dispatched_count t)
-let recover t = with_lock t (fun () -> recover t)
-let journal_info t = with_lock t (fun () -> journal_info t)
-
-let trace_id t id =
-  with_lock t (fun () ->
-      Option.map (fun r -> r.jtrace) (Hashtbl.find_opt t.jobs id))
-
-let uptime_ms t =
-  (* wall-clock age regardless of the scheduling clock: the virtual
-     clock freezes between jobs, which is useless for "how long has this
-     server been up" *)
-  (Int64.to_float (Telemetry.now_ns ()) /. 1e6) -. t.created_wall_ms
-
-let drain ?on_completion t =
-  let rec loop acc =
-    match run_next t with
-    | None -> List.rev acc
-    | Some c ->
-      Option.iter (fun f -> f c) on_completion;
-      loop (c :: acc)
-  in
-  loop []
-
-let await t id =
-  let rec loop () =
-    match state t id with
-    | Error d -> Error d
-    | Ok (Finished outcome) -> Ok outcome
-    | Ok _ -> (
-      match run_next t with
-      | Some _ -> loop ()
-      | None ->
-        (* queued but not in any FIFO: impossible unless state was
-           corrupted externally *)
-        Core.Diag.failf ~stage "job %d is stuck (queue empty)" id)
-  in
-  loop ()
-
-let stats t =
-  with_lock t (fun () ->
-      {
-        queued = t.queued_count;
-        queued_high = t.queued_by.(0);
-        queued_normal = t.queued_by.(1);
-        queued_low = t.queued_by.(2);
-        executed = t.executed;
-        cache_hits = t.cache_hits;
-        done_ = t.done_count;
-        failed = t.failed_count;
-        cancelled = t.cancelled_count;
-        expired = t.expired_count;
-        rejected = t.rejected_count;
-        capacity = t.config.capacity;
-      })
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                             *)

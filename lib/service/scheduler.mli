@@ -4,26 +4,27 @@
 
     {2 Execution model}
 
-    Jobs are {e batched}, not preemptive: {!drain} (or {!await}) pulls
-    one job at a time off the queue — strict priority across classes
-    ([High] before [Normal] before [Low]), FIFO within a class — and runs
-    it to completion on the calling domain.  Parallelism lives {e inside}
-    jobs: campaigns and sweeps map-reduce on the scheduler's
-    {!Parallel.Pool}, whose size is [config.domains].  Because job
-    results are domain-count-invariant (the PR-1 engine guarantee) and
-    the dequeue policy never consults the pool, the completion order and
-    every completion record are {b bit-identical at any [domains]} under
-    the virtual clock.
+    Jobs are {e batched}, not preemptive: every execution pops one job
+    with {!next_dispatch} — strict priority across classes ([High]
+    before [Normal] before [Low]), FIFO within a class — runs it to
+    completion somewhere, and settles it with {!complete_dispatch}.
+    {!drain}, {!await} and {!replay} run it on the calling domain
+    ({!run_next}); the server runs it on an executor domain or a worker
+    process ({!Workers}).  Parallelism lives {e inside} jobs: campaigns
+    and sweeps map-reduce on the scheduler's {!Parallel.Pool}, whose
+    size is [config.domains].  Because job results are
+    domain-count-invariant (the engine guarantee) and the dequeue
+    policy never consults the pool, the completion order and every
+    completion record are {b bit-identical at any [domains]} under the
+    virtual clock.
 
-    {2 Thread safety}
+    {2 Ownership}
 
-    Every entry point below ([submit], [cancel], [state], [stats],
-    [run_next], [now_ms] — and [drain] / [await], which compose them) is
-    serialised on an internal mutex, so multiple server connections or
-    threads can drive one scheduler safely.  [run_next] holds the lock
-    for the whole job it executes: execution stays batched and
-    one-at-a-time (the replay-determinism model is unchanged), and
-    concurrent callers simply queue behind it.
+    A scheduler is not thread-safe: one thread (the server's event
+    loop) calls every entry point.  The one exception is
+    {!run_dispatched}, which touches only the pool and the pass cache and
+    so may run on another domain while the owner keeps serving — one
+    call at a time.
 
     {2 Backpressure}
 
@@ -62,10 +63,8 @@
 
 type priority = High | Normal | Low
 
-val priority_string : priority -> string
-(** ["high"], ["normal"] or ["low"] — the protocol spelling. *)
-
 val priority_of_string : string -> priority option
+(** ["high"], ["normal"] or ["low"] — the protocol spelling. *)
 
 type clock_mode = Wall | Virtual
 
@@ -159,7 +158,8 @@ val cancel : t -> int -> (unit, Core.Diag.t) result
 val state : t -> int -> (state, Core.Diag.t) result
 
 val run_next : t -> completion option
-(** Dequeue and run (or expire) the single highest-priority job; [None]
+(** {!next_dispatch}, {!run_dispatched} on the calling domain, then
+    {!complete_dispatch}: settle the single highest-priority job; [None]
     when the queue is empty.  The building block of {!drain} and
     {!await}. *)
 
@@ -185,41 +185,50 @@ val uptime_ms : t -> float
     even under the virtual clock mode (it feeds the [health] op, not the
     replay model). *)
 
-val now_ms : t -> float
-(** Current clock reading (virtual or wall), for tests and servers. *)
+(** {1 Dispatch}
 
-(** {1 Out-of-process dispatch}
-
-    The worker-sharding server ({!Workers}) pops jobs with
-    {!next_dispatch} instead of {!run_next}, ships them to child
-    processes, and settles them with {!complete_dispatch} — or returns
+    Every execution path pops jobs with {!next_dispatch}, runs them —
+    {!run_dispatched} on some domain of this process, or a worker child
+    ({!Workers}) — and settles them with {!complete_dispatch}, or returns
     them to the queue with {!requeue_dispatch} when a child dies
     mid-job.  Dequeue policy, deadline expiry, the digest cache and the
-    journal behave exactly as for in-process execution. *)
+    journal behave the same whatever runs the job. *)
+
+type run = {
+  disp_id : int;
+  disp_job : Job.t;
+  disp_digest : string;
+  disp_trace : string;
+  disp_priority : priority;
+  disp_queue_wait_ms : float;
+  disp_cost_ms : float;  (** the declared cost (virtual clock advance) *)
+}
 
 type dispatch =
-  | Run of {
-      disp_id : int;
-      disp_job : Job.t;
-      disp_digest : string;
-      disp_trace : string;
-    }  (** run this job elsewhere, then call {!complete_dispatch} *)
+  | Run of run  (** run this job, then call {!complete_dispatch} *)
   | Resolved of completion
       (** settled at dequeue: a cache hit or a blown deadline *)
 
 val next_dispatch : t -> dispatch option
 (** Pop the next runnable job without executing it.  A cache hit or an
     expired deadline completes immediately ([Resolved]); otherwise the
-    job is marked [Running], counted as in-dispatch, and returned as
-    [Run].  [None] when the queue is empty. *)
+    job is marked [Running], counted in {!dispatched_count}, and
+    returned as [Run].  [None] when the queue is empty. *)
+
+val run_dispatched : t -> run -> (Json.t, Core.Diag.t) result * float
+(** Execute a dispatched job on the calling domain inside a
+    [service.job] span, with the scheduler's pool and pass cache; returns
+    the {!Runner.run} result and its wall milliseconds — measured, or
+    under the virtual clock the declared cost.  Touches no other
+    scheduler state (see {e Ownership}). *)
 
 val complete_dispatch :
   t -> int -> ?wall_ms:float -> (Json.t, Core.Diag.t) result ->
   completion option
-(** Settle a dispatched job with the result its worker produced: [Ok]
-    stores the result in the digest cache and completes the job as
-    [Done { cached = false }]; [Error] completes it as [Failed].  [None]
-    if the id is not currently dispatched (e.g. already requeued). *)
+(** Settle a dispatched job with its result: [Ok] stores the result in
+    the digest cache and completes the job as [Done { cached = false }];
+    [Error] completes it as [Failed].  [None] if the id is not currently dispatched (e.g. already
+    requeued). *)
 
 val requeue_dispatch : t -> int -> unit
 (** Return a dispatched job to the back of its priority FIFO (worker
@@ -229,7 +238,7 @@ val requeue_dispatch : t -> int -> unit
 
 val dispatched_count : t -> int
 (** Jobs handed out by {!next_dispatch} and not yet settled or
-    requeued. *)
+    requeued — the running jobs, reported as [in_flight] by [health]. *)
 
 (** {1 Crash recovery} *)
 

@@ -29,8 +29,8 @@
     - [status] answers [{"ok":true,"event":"status","id":N,"state":...}];
     - [stats] answers [{"ok":true,"event":"stats",...counters...}]
       including per-priority queue depths ([queued_high] / [queued_normal]
-      / [queued_low]) and [cache_hits]; the socket server appends its
-      connection counters ([conns_active], [conns_accepted],
+      / [queued_low]) and [cache_hits]; the serve loop — socket or stdio —
+      appends its connection counters ([conns_active], [conns_accepted],
       [conn_errors], [conns_idle_closed], [conns_dropped],
       [rejected_rate_limited], [rejected_high_water]); with a journal
       configured the reply also carries [journal_path], [journal_healthy],
@@ -41,19 +41,27 @@
       per-worker [workers] array;
     - [health] answers [{"ok":true,"event":"health","status":"ok",
       "uptime_ms":x,"queued":N,...,"in_flight":N,...}] — the liveness
-      probe; the socket server appends its connection counters and a
-      [connections] array ([cid], [owned_jobs], [out_bytes], [age_ms],
-      [idle_ms] per live client);
+      probe; [in_flight] counts the jobs running right now
+      ({!Scheduler.dispatched_count}).  The serve loop appends its
+      connection counters and a [connections] array ([cid],
+      [owned_jobs] — queued plus running jobs submitted there —
+      [out_bytes], [age_ms], [idle_ms] per live client).  The loop never
+      runs a job itself, so [health] answers while one runs;
     - [metrics] answers [{"ok":true,"event":"metrics","content_type":
       "text/plain; version=0.0.4","body":"..."}] where [body] is the
       {!Telemetry.Prometheus.render} exposition of the merged registry —
       one JSON line an operator (or the [top] monitor) unwraps into a
       scrape;
-    - [drain] (and end-of-input) runs all queued jobs, streaming one
+    - each job's completion streams as
       [{"ok":true,"event":"done","id":N,"trace_id":"...",
       "state":"done|failed|expired","cached":b,"wall_ms":x,
-      "queue_wait_ms":x,"result":{...}}] line per completion, then (for
-      the explicit op) [{"ok":true,"event":"drained","jobs":N}];
+      "queue_wait_ms":x,"result":{...}}] to the connection that
+      submitted it, as soon as it completes;
+    - [drain] answers [{"ok":true,"event":"drained","jobs":N}] once the
+      queue is empty and nothing runs, where [N] counts the requester's
+      jobs that completed meanwhile.  Until then the connection's later
+      lines are held back (other connections are served as usual), so a
+      [stats] after a [drain] sees every job settled;
     - unparseable or unknown requests answer
       [{"ok":false,"event":"error","error":{...}}] and the connection
       stays up.
@@ -62,15 +70,13 @@
     [{"stage","severity","message","context":{...}}].  Blank lines are
     ignored.
 
-    Over stdio ({!serve}) the server is sequential: jobs run on
-    {!Scheduler.drain}, so lines stream in arrival-completion order.
-    Over a socket ({!serve_socket}) the server is {e concurrent}: many
-    clients share one scheduler, jobs are pumped between I/O rounds, and
-    each ["done"] event streams to the connection that submitted the job
-    as soon as it completes — possibly before any ["drain"]; ["drain"]
-    then reports how many of {e the requester's} jobs finished in it.
-    Submissions carry no connection identity on the wire, so ids are
-    global and ["status"]/["stats"] see the shared scheduler. *)
+    One event loop serves both transports: a Unix-domain socket
+    ({!serve_socket}, many concurrent clients) or stdio ({!serve_fds},
+    one pre-accepted connection that also receives the completions of
+    jobs no connection submitted — those recovered from the journal —
+    and whose end of input waits for the whole queue).  Submissions
+    carry no connection identity on the wire, so ids are global and
+    ["status"]/["stats"] see the shared scheduler. *)
 
 val diag_json : Core.Diag.t -> Json.t
 
@@ -78,40 +84,13 @@ val event_of_completion : Scheduler.completion -> Json.t
 (** The ["done"] event line for a completion (shared with tests); always
     carries the completion's [trace_id]. *)
 
-val stats_event : ?extra:(string * Json.t) list -> Scheduler.t -> Json.t
-(** The ["stats"] reply; [?extra] members are appended (the socket server
-    adds its connection counters).  Exposed for the field-set pin test. *)
-
-val health_event :
-  ?in_flight:int -> ?extra:(string * Json.t) list -> Scheduler.t -> Json.t
-(** The ["health"] reply.  [in_flight] defaults to 0 (the stdio server
-    has no connection-owned jobs to count). *)
-
-val metrics_event : unit -> Json.t
-(** The ["metrics"] reply: the Prometheus exposition of
-    [Telemetry.collect ()] wrapped in one JSON document. *)
-
-val handle :
-  ?on_event:(Json.t -> unit) -> ?workers:Workers.t ->
-  Scheduler.t -> string -> Json.t list
-(** Process one request line, returning the response documents it
-    produces (several for [drain]).  When [on_event] is given, [drain]'s
-    per-completion events go through it {e as they happen} instead of
-    being collected — what lets {!serve} stream.  With [workers], [drain]
-    runs on the pool ({!Workers.drain}) and stats/health replies carry
-    the pool members.  Exposed for tests; {!serve} is this in a
-    read-print loop. *)
-
-val serve :
-  ?on_tick:(unit -> unit) -> ?workers:Workers.t ->
-  Scheduler.t -> in_channel -> out_channel -> unit
-(** Serve NDJSON until end-of-input, then drain the queue (streaming the
-    final ["done"] events) and return.  Each response line is flushed
-    before the next request is read.  [on_tick] fires after each handled
-    request line and once after the final drain — the CLI hangs its
-    periodic metrics dump on it.  With [workers], queued jobs execute on
-    the pool instead of in-process; the caller owns the pool's lifecycle
-    ({!Workers.shutdown} after this returns). *)
+val handle : Scheduler.t -> string -> Json.t list
+(** Process one request line with no connection around it, returning
+    the response documents it produces: the serve loop's dispatcher,
+    minus admission control and connection counters, with [drain]
+    running the queue on the calling domain ({!Scheduler.drain}) and
+    returning its ["done"] events and the ["drained"] marker.  For tests
+    and in-process probes. *)
 
 type serve_stats = {
   accepted : int;  (** connections accepted over the server's lifetime *)
@@ -140,8 +119,10 @@ val serve_socket :
     concurrently} — at most [max_conns] (default 8) simultaneously —
     on a [select]-based event loop, then drain the scheduler, close and
     unlink.  The scheduler — and its result cache — is shared by every
-    connection (its entry points are mutex-guarded, see
-    {!Scheduler}).
+    connection; the loop thread owns it.  Jobs run on [workers] when
+    given, otherwise on the in-process executor
+    ({!Workers.with_target}), which the loop spawns on the first
+    dispatch and joins before returning.
 
     Guarantees:
 
@@ -159,8 +140,7 @@ val serve_socket :
       serving everyone else ([SIGPIPE] is ignored for the process);
     - {b routing}: each completion streams to the connection that
       submitted the job; end-of-input from a client lets its outstanding
-      jobs finish, streams their events, then closes it (the implicit
-      drain of {!serve}, per connection);
+      jobs finish, streams their events, then closes it;
     - {b idle timeout}: with [idle_timeout_ms], a connection with no
       input, no queued output and no job in flight for that long is
       closed (counted in [idle_closed], not an error);
@@ -179,8 +159,17 @@ val serve_socket :
     - {b graceful shutdown}: once [connections] clients have been served
       and disconnected, any still-queued jobs run to completion (cache
       and stats stay coherent) before the socket is unlinked;
-    - {b sharding}: with [workers], jobs run on the child-process pool —
-      the worker fds join the [select] set, replies settle jobs between
-      I/O rounds, and completions still route to the submitting
-      connection.  The caller owns the pool ({!Workers.shutdown} after
-      this returns). *)
+    - {b off-loop execution}: the target's fds (the executor's wake-up
+      socket, or the worker children's) join the [select] set, results
+      settle jobs between I/O rounds, and completions route to the
+      submitting connection.  The caller owns a [workers] pool
+      ({!Workers.shutdown} after this returns). *)
+
+val serve_fds :
+  ?on_tick:(unit -> unit) -> ?workers:Workers.t ->
+  Scheduler.t -> input:Unix.file_descr -> output:Unix.file_descr -> unit
+(** The same loop over one pre-accepted connection reading [input] and
+    writing [output] (stdin/stdout for [serve] and for the [worker]
+    child).  Returns once input has ended, every queued job has
+    completed and its events are written.  The caller owns both fds.
+    [on_tick] fires once per loop round and once at the end. *)

@@ -14,7 +14,7 @@ type worker = {
   mutable jobs_done : int;
 }
 
-type t = {
+type procs = {
   argv : string array;
   slots : worker array;
   (* job id -> dispatch attempts, for the poison-job guard *)
@@ -51,7 +51,7 @@ let spawn_slot t i =
   Telemetry.Events.emit "worker.spawn"
     ~attrs:[ ("slot", Telemetry.Int i); ("pid", Telemetry.Int pid) ]
 
-let create ~argv ~n =
+let create_procs ~argv ~n =
   if n < 1 then invalid_arg "Workers.create: n must be >= 1";
   if Array.length argv = 0 then invalid_arg "Workers.create: empty argv";
   let t =
@@ -88,6 +88,7 @@ let create ~argv ~n =
 let live t = Array.to_list (Array.of_seq (Seq.filter (fun w -> w.alive) (Array.to_seq t.slots)))
 let fds t = List.map (fun w -> w.fd) (live t)
 let active t = List.length (live t)
+let idle w = w.alive && w.current = None
 
 let in_flight t =
   Array.fold_left
@@ -96,10 +97,6 @@ let in_flight t =
 
 let restarts t = t.restarts
 let pids t = List.map (fun w -> w.pid) (live t)
-
-let has_idle t =
-  t.gave_up
-  || Array.exists (fun w -> w.alive && w.current = None) t.slots
 
 let stats_json t =
   [
@@ -166,16 +163,9 @@ let release_parked t sched digest =
        succeeded, or dispatch for real if it failed *)
     List.iter (fun id -> Scheduler.requeue_dispatch sched id) (List.rev !ids)
 
-let fail_job t sched ~route id =
-  Hashtbl.remove t.attempts id;
-  match
-    Scheduler.complete_dispatch sched id
-      (Error
-         (Core.Diag.errorf ~stage "worker died %d times running this job"
-            max_attempts))
-  with
-  | Some c -> route c
-  | None -> ()
+let fail_job sched ~route id msg =
+  Option.iter route
+    (Scheduler.complete_dispatch sched id (Error (Core.Diag.error ~stage msg)))
 
 let worker_died t sched ~route w =
   if w.alive then begin
@@ -194,7 +184,11 @@ let worker_died t sched ~route w =
       Hashtbl.remove t.running c_digest;
       release_parked t sched c_digest;
       let att = Option.value ~default:1 (Hashtbl.find_opt t.attempts c_id) in
-      if att >= max_attempts then fail_job t sched ~route c_id
+      if att >= max_attempts then begin
+        Hashtbl.remove t.attempts c_id;
+        fail_job sched ~route c_id
+          (Printf.sprintf "worker died %d times running this job" max_attempts)
+      end
       else begin
         Telemetry.Events.emit "worker.requeue"
           ~attrs:[ ("id", Telemetry.Int c_id); ("slot", Telemetry.Int w.widx) ];
@@ -262,14 +256,10 @@ let on_reply t sched ~route w line =
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                           *)
 
+(* dispatch only places a job while some slot is idle *)
 let pick_idle t digest =
-  let n = Array.length t.slots in
-  let ok w = w.alive && w.current = None in
-  let pref = t.slots.(Hashtbl.hash digest mod n) in
-  if ok pref then Some pref
-  else
-    Array.fold_left (fun acc w -> if acc = None && ok w then Some w else acc)
-      None t.slots
+  let pref = t.slots.(Hashtbl.hash digest mod Array.length t.slots) in
+  if idle pref then pref else List.find idle (Array.to_list t.slots)
 
 let start t sched ~route w ~id ~digest ~trace job =
   let lines =
@@ -291,54 +281,25 @@ let start t sched ~route w ~id ~digest ~trace job =
     ~attrs:[ ("id", Telemetry.Int id); ("slot", Telemetry.Int w.widx) ];
   if not (send_all w.fd lines) then worker_died t sched ~route w
 
-let rec dispatch t sched ~route =
-  if t.shutting_down then ()
-  else if t.gave_up && active t = 0 then
+let can_place t = active t = 0 || Array.exists idle t.slots
+
+let place t sched ~route (run : Scheduler.run) =
+  let digest = run.Scheduler.disp_digest and id = run.Scheduler.disp_id in
+  if active t = 0 then
     (* no workers left and no respawn budget: drain the queue as
        failures rather than hanging the server *)
-    match Scheduler.next_dispatch sched with
-    | None -> ()
-    | Some (Scheduler.Resolved c) ->
-      route c;
-      dispatch t sched ~route
-    | Some (Scheduler.Run { disp_id; _ }) ->
-      (match
-         Scheduler.complete_dispatch sched disp_id
-           (Error (Core.Diag.error ~stage "no live workers (respawn budget exhausted)"))
-       with
-      | Some c -> route c
-      | None -> ());
-      dispatch t sched ~route
-  else if Array.exists (fun w -> w.alive && w.current = None) t.slots then (
-    match Scheduler.next_dispatch sched with
-    | None -> ()
-    | Some (Scheduler.Resolved c) ->
-      route c;
-      dispatch t sched ~route
-    | Some (Scheduler.Run { disp_id; disp_job; disp_digest; disp_trace }) ->
-      (if Hashtbl.mem t.running disp_digest then begin
-         (* duplicate of an in-flight digest: park it; it requeues when
-            the twin settles and resolves as a cache hit *)
-         let ids =
-           match Hashtbl.find_opt t.parked disp_digest with
-           | Some ids -> ids
-           | None ->
-             let ids = ref [] in
-             Hashtbl.replace t.parked disp_digest ids;
-             ids
-         in
-         ids := disp_id :: !ids;
-         Telemetry.counter_add "service.worker_parked" 1
-       end
-       else
-         match pick_idle t disp_digest with
-         | Some w ->
-           start t sched ~route w ~id:disp_id ~digest:disp_digest
-             ~trace:disp_trace disp_job
-         | None ->
-           (* raced out of idle slots (worker died under us): put it back *)
-           Scheduler.requeue_dispatch sched disp_id);
-      dispatch t sched ~route)
+    fail_job sched ~route id "no live workers (respawn budget exhausted)"
+  else if Hashtbl.mem t.running digest then begin
+    (* duplicate of an in-flight digest: park it; it requeues when the
+       twin settles and resolves as a cache hit *)
+    (match Hashtbl.find_opt t.parked digest with
+    | Some ids -> ids := id :: !ids
+    | None -> Hashtbl.replace t.parked digest (ref [ id ]));
+    Telemetry.counter_add "service.worker_parked" 1
+  end
+  else
+    start t sched ~route (pick_idle t digest) ~id ~digest
+      ~trace:run.Scheduler.disp_trace run.Scheduler.disp_job
 
 (* ------------------------------------------------------------------ *)
 (* Event-loop integration                                             *)
@@ -392,27 +353,11 @@ let reap t sched ~route =
         | exception Unix.Unix_error _ -> ())
     t.slots
 
-let service t sched ~route ~ready =
+let collect t sched ~route ~ready =
   Array.iter
     (fun w -> if w.alive && List.mem w.fd ready then read_worker t sched ~route w)
     t.slots;
-  reap t sched ~route;
-  dispatch t sched ~route
-
-let drain t sched ~route =
-  let pending () =
-    (Scheduler.stats sched).Scheduler.queued > 0
-    || Scheduler.dispatched_count sched > 0
-  in
-  dispatch t sched ~route;
-  while pending () && not t.shutting_down do
-    let fds = fds t in
-    let r, _, _ =
-      try Unix.select fds [] [] 0.25
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    service t sched ~route ~ready:r
-  done
+  reap t sched ~route
 
 (* ------------------------------------------------------------------ *)
 (* Shutdown                                                           *)
@@ -443,3 +388,160 @@ let shutdown t =
         end)
       t.slots
   end
+
+(* ------------------------------------------------------------------ *)
+(* In-process target: one executor domain runs [Scheduler.run_dispatched]
+   as the calling participant of the scheduler's pool, so [--domains N]
+   still computes on N domains while the event loop keeps serving.  The
+   loop and the executor talk over a socketpair, like a parent and a
+   worker child: a byte down starts the job left in [slot], a byte back
+   says the slot holds its result.  Scheduler state stays on the loop
+   thread. *)
+
+type exec_slot =
+  | Idle
+  | Todo of Scheduler.t * Scheduler.run
+  | Finished of int * (Json.t, Core.Diag.t) result * float
+
+type local = {
+  loop_fd : Unix.file_descr;  (* the loop's end, in its select set *)
+  exec_fd : Unix.file_descr;  (* the executor's end *)
+  slot : exec_slot Atomic.t;
+  mutable executor : unit Domain.t option;  (* spawned on first dispatch *)
+  mutable closed : bool;
+}
+
+let executor l () =
+  let byte = Bytes.create 1 in
+  let rec loop () =
+    match Unix.read l.exec_fd byte 0 1 with
+    | 0 -> () (* the loop shut its end down: exit *)
+    | _ ->
+      (match Atomic.get l.slot with
+      | Todo (sched, run) ->
+        let result, wall_ms = Scheduler.run_dispatched sched run in
+        Atomic.set l.slot (Finished (run.Scheduler.disp_id, result, wall_ms))
+      | Idle | Finished _ -> ());
+      ignore (Unix.write_substring l.exec_fd "." 0 1);
+      loop ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+  in
+  loop ()
+
+let busy l = match Atomic.get l.slot with Idle -> false | _ -> true
+
+let hand_off l sched run =
+  if l.executor = None then l.executor <- Some (Domain.spawn (executor l));
+  Atomic.set l.slot (Todo (sched, run));
+  ignore (Unix.write_substring l.loop_fd "." 0 1)
+
+let collect_local l sched ~route ~ready =
+  if List.mem l.loop_fd ready then begin
+    (try ignore (Unix.read l.loop_fd (Bytes.create 8) 0 8)
+     with Unix.Unix_error _ -> ());
+    match Atomic.get l.slot with
+    | Finished (id, result, wall_ms) ->
+      Atomic.set l.slot Idle;
+      Option.iter route (Scheduler.complete_dispatch sched id ~wall_ms result)
+    | Idle | Todo _ -> ()
+  end
+
+let shutdown_local l =
+  if not l.closed then begin
+    l.closed <- true;
+    (* half-close: the executor reads EOF once its job (if any) is done,
+       and its last wake-up byte still has somewhere to go *)
+    (try Unix.shutdown l.loop_fd Unix.SHUTDOWN_SEND
+     with Unix.Unix_error _ -> ());
+    Option.iter Domain.join l.executor;
+    Unix.close l.loop_fd;
+    Unix.close l.exec_fd
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Dispatch targets                                                   *)
+
+type t = Procs of procs | Local of local
+
+let create ~argv ~n = Procs (create_procs ~argv ~n)
+
+let local () =
+  let loop_fd, exec_fd =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  Unix.set_nonblock loop_fd;
+  Local
+    {
+      loop_fd;
+      exec_fd;
+      slot = Atomic.make Idle;
+      executor = None;
+      closed = false;
+    }
+
+let fds = function Procs p -> fds p | Local l -> [ l.loop_fd ]
+let active = function Procs p -> active p | Local _ -> 1
+
+let in_flight = function
+  | Procs p -> in_flight p
+  | Local l -> if busy l then 1 else 0
+
+let restarts = function Procs p -> restarts p | Local _ -> 0
+let pids = function Procs p -> pids p | Local _ -> []
+
+(* the in-process target adds nothing, so stats and health keep the
+   shape they have without a pool *)
+let stats_json = function Procs p -> stats_json p | Local _ -> []
+
+let stopped = function Procs p -> p.shutting_down | Local l -> l.closed
+
+(* a job popped now can be placed: on an idle slot, or (a pool out of
+   workers and respawns) as a failure *)
+let has_idle t =
+  (not (stopped t))
+  &&
+  match t with
+  | Procs p -> can_place p
+  | Local l -> not (busy l)
+
+let rec dispatch t sched ~route =
+  if has_idle t then
+    match Scheduler.next_dispatch sched with
+    | None -> ()
+    | Some (Scheduler.Resolved c) ->
+      route c;
+      dispatch t sched ~route
+    | Some (Scheduler.Run run) ->
+      (match t with
+      | Procs p -> place p sched ~route run
+      | Local l -> hand_off l sched run);
+      dispatch t sched ~route
+
+let service t sched ~route ~ready =
+  (match t with
+  | Procs p -> collect p sched ~route ~ready
+  | Local l -> collect_local l sched ~route ~ready);
+  dispatch t sched ~route
+
+let shutdown = function Procs p -> shutdown p | Local l -> shutdown_local l
+
+let with_target ?workers f =
+  match workers with
+  | Some w -> f w
+  | None ->
+    let l = local () in
+    Fun.protect ~finally:(fun () -> shutdown l) (fun () -> f l)
+
+let drain t sched ~route =
+  let pending () =
+    (Scheduler.stats sched).Scheduler.queued > 0
+    || Scheduler.dispatched_count sched > 0
+  in
+  dispatch t sched ~route;
+  while pending () && not (stopped t) do
+    let r, _, _ =
+      try Unix.select (fds t) [] [] 0.25
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+    in
+    service t sched ~route ~ready:r
+  done

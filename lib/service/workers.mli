@@ -1,13 +1,19 @@
-(** Multi-process execution: shard jobs across N [cnfet_dk worker]
-    children, each exec'd with a socketpair as its stdio and speaking
-    the existing NDJSON protocol (one [submit] + [drain] per dispatched
-    job, one [done] event back).
+(** Dispatch targets: where the server's jobs run.  Either N [cnfet_dk
+    worker] children ({!create}), each exec'd with a socketpair as its
+    stdio and speaking the existing NDJSON protocol (one [submit] +
+    [drain] per dispatched job, one [done] event back), or the
+    in-process executor ({!with_target}'s default): one domain, spawned
+    on the first dispatch, that runs {!Scheduler.run_dispatched} and
+    wakes the event loop through its own socketpair.
 
-    The parent stays the single scheduler: it pops jobs with
-    {!Scheduler.next_dispatch}, routes them to an idle child, and
-    settles them with {!Scheduler.complete_dispatch} when the child's
-    [done] event arrives.  Scale past one GC without giving up the
-    single-writer cache, ledger and journal.
+    The server stays the single scheduler: it pops jobs with
+    {!Scheduler.next_dispatch}, hands them to an idle executor or child,
+    and settles them with {!Scheduler.complete_dispatch} when the result
+    arrives.  Either way the event loop never runs a job itself, and
+    worker processes scale past one GC without giving up the
+    single-writer cache, ledger and journal.  The rest of this page
+    describes the process pool; the in-process target runs one job at a
+    time, never dies, and adds nothing to stats replies.
 
     {2 Digest affinity and dedup}
 
@@ -25,7 +31,7 @@
     gets its in-flight job {e requeued} — the journal still holds the
     unsettled submission, so the job also survives a parent crash — and
     the slot is respawned, counted in [restarts].  A job whose worker
-    dies {!max_attempts} times is completed as [Failed] instead of
+    dies three times is completed as [Failed] instead of
     requeued (poison-job guard), and a pool whose respawns keep dying
     stops respawning after a global budget and fails what remains —
     never a hang.
@@ -35,23 +41,25 @@
 
 type t
 
-val max_attempts : int
-(** Dispatch attempts per job before a worker-death completes it as
-    [Failed] (currently 3). *)
-
 val create : argv:string array -> n:int -> t
 (** Spawn [n] children running [argv] (typically
     [[| Sys.executable_name; "worker"; ... |]]), each with a fresh
     socketpair as stdin/stdout.  [n >= 1]. *)
 
+val with_target : ?workers:t -> (t -> 'a) -> 'a
+(** Run [f] on [workers] (the caller still owns it), or on a fresh
+    in-process target whose executor domain is spawned on the first
+    dispatch and joined when [f] returns or raises. *)
+
 val fds : t -> Unix.file_descr list
-(** Parent-side socketpair fds of live workers — add these to the
-    server's [select] read set; a readable fd means a reply line or an
-    EOF (death) to {!service}. *)
+(** Loop-side socketpair fds of live workers (or of the executor) — add
+    these to the server's [select] read set; a readable fd means a
+    result, a reply line or an EOF (death) to {!service}. *)
 
 val has_idle : t -> bool
-(** A live worker with no job in flight exists (or the pool has given up
-    respawning — then dispatch drains the queue as failures). *)
+(** A popped job could be placed now: a live worker (or the executor)
+    has no job in flight, or the pool has no live worker left and no
+    respawn budget (then dispatch drains the queue as failures). *)
 
 val active : t -> int
 (** Live workers. *)
@@ -77,8 +85,8 @@ val service :
 val drain :
   t -> Scheduler.t -> route:(Scheduler.completion -> unit) -> unit
 (** Run until the scheduler queue is empty and nothing is in flight or
-    parked — the worker-pool analogue of {!Scheduler.drain}, with its
-    own [select] loop over the worker fds. *)
+    parked — {!Scheduler.drain} on this target, with its own [select]
+    loop over {!fds}. *)
 
 val stats_json : t -> (string * Json.t) list
 (** [workers_active], [worker_restarts], [workers_in_flight] and a
@@ -88,4 +96,5 @@ val stats_json : t -> (string * Json.t) list
 val shutdown : t -> unit
 (** Close every worker's socketpair (the child sees EOF, drains and
     exits) and reap them, escalating to SIGKILL after a short grace
-    period.  Idempotent. *)
+    period; for the in-process target, let the executor finish its job
+    and join it.  Idempotent. *)

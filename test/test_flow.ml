@@ -296,6 +296,29 @@ let generate_of_spec () =
           (List.mem ("spec", bad) d.Core.Diag.context && String.length s > 0))
     [ "mult"; "multx"; "lfsr16"; "rand9"; "tree8"; "" ]
 
+(* The admission budget trusts instance_bound: exact where it claims to
+   be, never below the built design elsewhere. *)
+let generate_instance_bound () =
+  let built spec =
+    List.length (ok (Flow.Generate.of_spec spec)).Flow.Netlist_ir.instances
+  in
+  let bound spec =
+    match Flow.Generate.parse_spec spec with
+    | Ok p -> Flow.Generate.instance_bound p
+    | Error d -> Alcotest.fail (Core.Diag.to_string d)
+  in
+  List.iter
+    (fun spec -> check_int (spec ^ " exact") (built spec) (bound spec))
+    [ "mult1"; "mult2"; "mult3"; "mult5"; "mult8"; "mult11"; "mult64";
+      "ripple1"; "ripple9"; "full_adder" ];
+  List.iter
+    (fun spec ->
+      checkb (spec ^ " bounded") true (built spec <= bound spec))
+    [ "lfsr8x5"; "lfsr16x20"; "lfsr24x60"; "lfsr32x50"; "lfsr5x40";
+      "rand50s3"; "rand400s17"; "rand800s999" ];
+  check_int "mult65 is past the generator" max_int (bound "mult65");
+  check_int "huge counts saturate" max_int (bound "rand4611686018427387903s1")
+
 (* --- placer error paths: diagnostics verbatim --- *)
 
 let lib1 = Stdcell.Library.cnfet_exn ~drives:[ 1 ] ()
@@ -394,6 +417,8 @@ let suite =
     Alcotest.test_case "generate: random deterministic" `Quick
       generate_random_deterministic;
     Alcotest.test_case "generate: of_spec" `Quick generate_of_spec;
+    Alcotest.test_case "generate: instance bound" `Quick
+      generate_instance_bound;
     Alcotest.test_case "placer unknown cell diagnostic" `Quick
       placer_unknown_cell_diag;
     Alcotest.test_case "placer unknown drive diagnostic" `Quick

@@ -245,6 +245,55 @@ let mc_cost_budget () =
     (rejected_on "tracks_per_trial"
        (Job.testgen ~trials:10 ~tracks_per_trial:65 "NAND2"))
 
+(* flow and characterize jobs carry a cost budget too: the generated
+   design's size, and the characterize sweep's points and loads *)
+let flow_and_characterize_budget () =
+  let rejected_on field job =
+    match Job.validate job with
+    | Ok () -> false
+    | Error d -> List.mem_assoc field d.Core.Diag.context
+  in
+  let gen spec = Job.flow (Job.Generated spec) in
+  let limit = Job.max_generated_instances in
+  checkb "mult64 sits exactly at the budget" true
+    (Job.validate (gen "mult64") = Ok ());
+  checkb "mult65 rejected" true (rejected_on "instances" (gen "mult65"));
+  (* rand<G>: 4 instances per gate plus 16 for the output buffers *)
+  let g = (limit - 16) / 4 in
+  checkb "largest rand accepted" true
+    (Job.validate (gen (Printf.sprintf "rand%ds1" g)) = Ok ());
+  checkb "one more gate rejected" true
+    (rejected_on "instances" (gen (Printf.sprintf "rand%ds1" (g + 1))));
+  (* lfsr24x<S>: 9 instances per step plus 48 for the state buffers *)
+  let steps = (limit - 48) / 9 in
+  checkb "largest lfsr24 accepted" true
+    (Job.validate (gen (Printf.sprintf "lfsr24x%d" steps)) = Ok ());
+  checkb "one more step rejected" true
+    (rejected_on "instances" (gen (Printf.sprintf "lfsr24x%d" (steps + 1))));
+  checkb "huge steps saturate, not wrap" true
+    (rejected_on "instances" (gen "lfsr24x4611686018427387903"));
+  checkb "huge ripple rejected" true
+    (rejected_on "instances" (gen "ripple1000000"));
+  checkb "malformed spec rejected at admission" true
+    (rejected_on "spec" (gen "rand9"));
+  (* the benchmark's traffic stays admitted *)
+  List.iter
+    (fun spec ->
+      checkb (spec ^ " admitted") true (Job.validate (gen spec) = Ok ()))
+    [ "mult8"; "mult9"; "mult10"; "mult11"; "lfsr24x60"; "lfsr32x50";
+      "rand400s1"; "rand600s500"; "rand800s999" ];
+  let char loads = Job.characterize ~loads "NAND2" in
+  checkb "loads 1..5 admitted" true
+    (Job.validate (char [ 1; 2; 3; 4; 5 ]) = Ok ());
+  checkb "16 load points accepted" true
+    (Job.validate (char (List.init 16 Fun.id)) = Ok ());
+  checkb "17 load points rejected" true
+    (rejected_on "loads" (char (List.init 17 Fun.id)));
+  checkb "load 64 accepted" true (Job.validate (char [ 1; 64 ]) = Ok ());
+  checkb "load 65 rejected" true (rejected_on "load" (char [ 1; 65 ]));
+  checkb "negative load still rejected" true
+    (rejected_on "load" (char [ -1 ]))
+
 (* --- scheduler: the four acceptance properties --- *)
 
 let quick_jobs () =
@@ -842,6 +891,143 @@ let obj_keys = function
 let str_member name obj =
   Option.get (Option.bind (Json.member name obj) Json.to_str)
 
+(* --- one serve loop: jobs run off the event loop --- *)
+
+(* long enough (a few hundred ms on one domain) to probe while it runs *)
+let slow_submit_line =
+  line_of
+    (Json.Obj
+       [
+         ("op", Json.Str "submit");
+         ("job", Job.to_json (Job.fault ~trials:150_000 ~seed:5 "NAND2"));
+       ])
+  ^ "\n"
+
+let send sock s = ignore (Unix.write_substring sock s 0 (String.length s))
+
+let int_member name obj =
+  Option.get (Option.bind (Json.member name obj) Json.to_int)
+
+let json_line ic =
+  match Json.of_string (input_line ic) with
+  | Ok v -> v
+  | Error e -> Alcotest.fail e
+
+let pending_input fd =
+  match Unix.select [ fd ] [] [] 0. with [], _, _ -> false | _ -> true
+
+(* serve_socket on a thread with two clients; [f] gets both sockets *)
+let with_two_clients tag f =
+  let path = tmp_sock_path tag in
+  Scheduler.with_scheduler (fun t ->
+      let server =
+        Thread.create
+          (fun () -> Server.serve_socket ~max_conns:2 ~connections:2 t ~path)
+          ()
+      in
+      let a = connect_retry path in
+      let b = connect_retry path in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close a;
+          Unix.close b;
+          Thread.join server)
+        (fun () -> f t a b))
+
+let health_counts_running_jobs () =
+  with_two_clients "inflight" (fun _ a b ->
+      let ia = Unix.in_channel_of_descr a in
+      let ib = Unix.in_channel_of_descr b in
+      send a slow_submit_line;
+      check_str "accepted" "accepted" (str_member "event" (json_line ia));
+      send b "{\"op\":\"health\"}\n";
+      let h = json_line ib in
+      check_int "the running job is in flight" 1 (int_member "in_flight" h);
+      check_int "and not done yet" 0 (int_member "done" h);
+      checkb "health answered before the job's done event" false
+        (pending_input a);
+      check_str "the job completes" "done" (str_member "event" (json_line ia));
+      send b "{\"op\":\"health\"}\n";
+      check_int "nothing in flight afterwards" 0
+        (int_member "in_flight" (json_line ib)))
+
+let deferred_drain_stays_responsive () =
+  with_two_clients "drain" (fun _ a b ->
+      let ia = Unix.in_channel_of_descr a in
+      let ib = Unix.in_channel_of_descr b in
+      send a (slow_submit_line ^ "{\"op\":\"drain\"}\n{\"op\":\"stats\"}\n");
+      check_str "accepted" "accepted" (str_member "event" (json_line ia));
+      send b "{\"op\":\"health\"}\n";
+      let h = json_line ib in
+      check_str "health answers during A's drain" "health"
+        (str_member "event" h);
+      check_int "A's job still running" 1 (int_member "in_flight" h);
+      checkb "B's reply came before A's done" false (pending_input a);
+      let events = List.init 3 (fun _ -> json_line ia) in
+      Alcotest.(check (list string))
+        "done, then drained, then the held-back stats"
+        [ "done"; "drained"; "stats" ]
+        (List.map (str_member "event") events);
+      check_int "drained counts A's job" 1
+        (int_member "jobs" (List.nth events 1));
+      let stats = List.nth events 2 in
+      check_int "stats sees the job done" 1 (int_member "done" stats);
+      check_int "and nothing queued" 0 (int_member "queued" stats))
+
+(* stdio is the same loop over one pre-accepted connection: it streams
+   the completions of jobs nobody on the wire submitted (journal
+   recovery), counts them in its drain, and its replies carry the
+   connection counters *)
+let stdio_loop_adopts_unowned_jobs () =
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  Scheduler.with_scheduler (fun t ->
+      let recovered = Result.get_ok (Scheduler.submit t (Job.fault ~trials:40 "INV")) in
+      let server =
+        Thread.create
+          (fun () -> Server.serve_fds t ~input:in_r ~output:out_w)
+          ()
+      in
+      let job = Job.to_json (Job.fault ~trials:40 ~seed:9 "NAND2") in
+      let submit = line_of (Json.Obj [ ("op", Json.Str "submit"); ("job", job) ]) in
+      send in_w
+        (String.concat "\n"
+           [ submit; submit; {|{"op":"drain"}|}; {|{"op":"stats"}|} ]
+        ^ "\n");
+      Unix.close in_w;
+      Thread.join server;
+      Unix.close out_w;
+      let ic = Unix.in_channel_of_descr out_r in
+      let rec lines acc =
+        match input_line ic with
+        | l -> lines (l :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      let events =
+        List.map
+          (fun l ->
+            match Json.of_string l with
+            | Ok v -> v
+            | Error e -> Alcotest.fail e)
+          (lines [])
+      in
+      close_in ic;
+      Unix.close in_r;
+      let named e = List.filter (fun v -> str_member "event" v = e) events in
+      check_int "three completions" 3 (List.length (named "done"));
+      checkb "the unowned job's completion streams here" true
+        (List.exists (fun v -> int_member "id" v = recovered) (named "done"));
+      check_int "drain counts all three" 3
+        (int_member "jobs" (List.hd (named "drained")));
+      (match List.rev events with
+      | last :: before :: _ ->
+        check_str "stats comes last" "stats" (str_member "event" last);
+        check_str "right after drained" "drained" (str_member "event" before);
+        check_int "stats carries the connection counters" 1
+          (int_member "conns_accepted" last)
+      | _ -> Alcotest.fail "too few replies");
+      check_int "the duplicate was a cache hit" 1
+        (Scheduler.stats t).Scheduler.cache_hits)
+
 (* the stats reply is an operator API: adding a field is fine (extend this
    list), renaming or dropping one is a break this pin makes loud *)
 let stats_field_set_pinned () =
@@ -1073,6 +1259,8 @@ let suite =
     Alcotest.test_case "digest floats do not collide" `Quick
       digest_float_collisions;
     Alcotest.test_case "fault and testgen cost budget" `Quick mc_cost_budget;
+    Alcotest.test_case "flow and characterize cost budget" `Quick
+      flow_and_characterize_budget;
     Alcotest.test_case "replay invariant across domains" `Slow
       replay_domain_invariance;
     Alcotest.test_case "bounded queue rejects overload" `Quick
@@ -1098,6 +1286,12 @@ let suite =
       socket_client_killed_mid_response;
     Alcotest.test_case "concurrent socket clients" `Quick
       concurrent_socket_clients;
+    Alcotest.test_case "health counts running jobs" `Quick
+      health_counts_running_jobs;
+    Alcotest.test_case "deferred drain stays responsive" `Quick
+      deferred_drain_stays_responsive;
+    Alcotest.test_case "stdio loop adopts unowned jobs" `Quick
+      stdio_loop_adopts_unowned_jobs;
     Alcotest.test_case "stats field set pinned" `Quick stats_field_set_pinned;
     Alcotest.test_case "trace id propagates" `Quick trace_id_propagates;
     Alcotest.test_case "generated trace ids deterministic" `Quick
