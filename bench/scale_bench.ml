@@ -1,7 +1,7 @@
 (* Scaled physical-flow throughput: generated array multipliers at 1k and
-   10k instances through placement, placement-level DRC, die-level
-   CNT-track crossing queries, and coupling extraction — each pairwise
-   pass timed both through Geom.Index and through the all-pairs naive
+   10k instances through placement, GDSII export, placement-level DRC,
+   die-level CNT-track crossing queries, and coupling extraction — each
+   pairwise pass timed both through Geom.Index and through the all-pairs naive
    scan it replaced, with the results asserted equal.  Die area and
    utilization of scheme 1 (rows) vs scheme 2 (shelves) ride along as
    extras.  Results land in BENCH_scale.json.
@@ -98,6 +98,25 @@ let bench_size ~lib target =
     (Flow.Placer.die_area p1) (Flow.Placer.die_area p2)
     (Flow.Placer.utilization p1) (Flow.Placer.utilization p2);
 
+  (* GDSII export of each placement: wall time and minor-heap words per
+     placed instance (the stream itself is one major-heap buffer) *)
+  let export scheme p =
+    let w0 = Gc.minor_words () in
+    let gds, ms =
+      time (fun () ->
+          ok
+            (Flow.Gds_export.placement ~lib ~scheme
+               ~name:n.Flow.Netlist_ir.design p))
+    in
+    (String.length gds, ms, (Gc.minor_words () -. w0) /. fcells)
+  in
+  let gds1, t_gds1, words1 = export `S1 p1 in
+  let gds2, t_gds2, words2 = export `S2 p2 in
+  Printf.printf
+    "  export: scheme1 %.1f ms (%d bytes, %.0f words/instance), scheme2 \
+     %.1f ms (%d bytes, %.0f words/instance)\n"
+    t_gds1 gds1 words1 t_gds2 gds2 words2;
+
   (* placement-level DRC: index vs all-pairs *)
   let outlines = List.map outline p1.Flow.Placer.cells in
   let v_idx, t_drc_idx = time (fun () -> Layout.Drc.check_outlines outlines) in
@@ -163,6 +182,18 @@ let bench_size ~lib target =
            float_of_int (Flow.Placer.die_area p2)
            /. Float.max 1. (float_of_int (Flow.Placer.die_area p1)));
         ]
+      ();
+    Bench_json.entry
+      ~name:(slug ^ ".export.s1") ~wall_ms:t_gds1
+      ~throughput:(fcells /. Float.max 1e-9 (t_gds1 /. 1000.))
+      ~extras:
+        [ ("words_per_instance", words1); ("gds_bytes", float_of_int gds1) ]
+      ();
+    Bench_json.entry
+      ~name:(slug ^ ".export.s2") ~wall_ms:t_gds2
+      ~throughput:(fcells /. Float.max 1e-9 (t_gds2 /. 1000.))
+      ~extras:
+        [ ("words_per_instance", words2); ("gds_bytes", float_of_int gds2) ]
       ();
     Bench_json.entry
       ~name:(slug ^ ".drc_outlines.index") ~wall_ms:t_drc_idx

@@ -1,69 +1,118 @@
-let cell_library ~rules ~name cells =
-  Gds.Stream.library ~rules ~name
-    (List.map (fun (c : Layout.Cell.t) -> (c.Layout.Cell.name, Layout.Cell.layers c)) cells)
-
 let placement ~lib ~scheme ~name (p : Placer.t) =
   let ( let* ) = Result.bind in
-  let rules = lib.Stdcell.Library.rules in
-  let layout_of inst =
-    let* e = Placer.entry_for lib inst in
-    Ok
-      (match scheme with
-      | `S1 -> e.Stdcell.Library.scheme1
-      | `S2 -> e.Stdcell.Library.scheme2)
+  let placed = Array.of_list p.Placer.cells in
+  let n = Array.length placed in
+  (* Resolve every placed instance to its cell, stopping at the first
+     error.  Cells are numbered in first-occurrence order, and each
+     cell's layers are computed once, as (GDS layer, rectangles). *)
+  let ids = Hashtbl.create 16 in
+  let uniq = ref [] in
+  let cell_of = Array.make n 0 in
+  let rec resolve i =
+    if i = n then Ok ()
+    else
+      let* e = Placer.entry_for lib placed.(i).Placer.inst in
+      let l =
+        match scheme with
+        | `S1 -> e.Stdcell.Library.scheme1
+        | `S2 -> e.Stdcell.Library.scheme2
+      in
+      let id =
+        match Hashtbl.find_opt ids l.Layout.Cell.name with
+        | Some id -> id
+        | None ->
+          let id = Hashtbl.length ids in
+          Hashtbl.add ids l.Layout.Cell.name id;
+          let layers =
+            List.map
+              (fun (layer, region) ->
+                ( Pdk.Layer.gds_number layer,
+                  Array.of_list (Geom.Region.rects region) ))
+              (Layout.Cell.layers l)
+          in
+          uniq := (l.Layout.Cell.name, Array.of_list layers) :: !uniq;
+          id
+      in
+      cell_of.(i) <- id;
+      resolve (i + 1)
   in
-  (* resolve every placed instance once, stopping at the first error *)
-  let* layouts =
-    List.fold_left
-      (fun acc (c : Placer.placed_cell) ->
-        let* acc = acc in
-        let* l = layout_of c.Placer.inst in
-        Ok ((c, l) :: acc))
-      (Ok []) p.Placer.cells
-    |> Result.map List.rev
+  let* () = resolve 0 in
+  let cells = Array.of_list (List.rev !uniq) in
+  (* Top-structure layer order: by last occurrence in the instances'
+     concatenated layer lists, most recent first — so the first time a
+     backward walk meets each layer.  The walk stops once every layer of
+     every cell has been met. *)
+  let distinct = Hashtbl.create 16 in
+  Array.iter
+    (fun (_, layers) ->
+      Array.iter (fun (num, _) -> Hashtbl.replace distinct num ()) layers)
+    cells;
+  let slot = Hashtbl.create 16 in
+  let order = ref [] in
+  let i = ref (n - 1) in
+  while !i >= 0 && Hashtbl.length slot < Hashtbl.length distinct do
+    let layers = snd cells.(cell_of.(!i)) in
+    for k = Array.length layers - 1 downto 0 do
+      let num = fst layers.(k) in
+      if not (Hashtbl.mem slot num) then begin
+        Hashtbl.add slot num (Hashtbl.length slot);
+        order := num :: !order
+      end
+    done;
+    decr i
+  done;
+  let order = Array.of_list (List.rev !order) in
+  (* per cell, its rectangles by top-structure slot *)
+  let by_slot =
+    Array.map
+      (fun (_, layers) ->
+        let a = Array.make (Array.length order) [||] in
+        Array.iter
+          (fun (num, rects) -> a.(Hashtbl.find slot num) <- rects)
+          layers;
+        a)
+      cells
   in
-  (* referenced cells, unique by name *)
-  let uniq =
-    List.fold_left
-      (fun acc ((_ : Placer.placed_cell), (l : Layout.Cell.t)) ->
-        if List.mem_assoc l.Layout.Cell.name acc then acc
-        else (l.Layout.Cell.name, l) :: acc)
-      [] layouts
+  (* Each top layer lists, in placement order, one block per instance
+     carrying that layer: the cell's own rectangle array at the
+     instance's offset. *)
+  let top =
+    Array.mapi
+      (fun s number ->
+        let count = ref 0 in
+        Array.iter
+          (fun c -> if Array.length by_slot.(c).(s) > 0 then incr count)
+          cell_of;
+        let blocks = Array.make !count [||] in
+        let dx = Array.make !count 0 and dy = Array.make !count 0 in
+        let k = ref 0 in
+        Array.iteri
+          (fun i c ->
+            let rects = by_slot.(c).(s) in
+            if Array.length rects > 0 then begin
+              blocks.(!k) <- rects;
+              dx.(!k) <- placed.(i).Placer.x;
+              dy.(!k) <- placed.(i).Placer.y;
+              incr k
+            end)
+          cell_of;
+        { Gds.Stream.number; blocks; dx; dy })
+      order
   in
-  let top_layers =
-    List.concat_map
-      (fun ((c : Placer.placed_cell), l) ->
-        List.map
-          (fun (layer, region) ->
-            (layer, Geom.Region.translate ~dx:c.Placer.x ~dy:c.Placer.y region))
-          (Layout.Cell.layers l))
-      layouts
+  let cell_structure (cname, layers) =
+    ( cname,
+      Gds.Stream.Layers
+        (Array.map
+           (fun (number, rects) ->
+             {
+               Gds.Stream.number;
+               blocks = [| rects |];
+               dx = [| 0 |];
+               dy = [| 0 |];
+             })
+           layers) )
   in
-  (* Merge per layer.  Layers come out ordered by last occurrence (most
-     recent first) with each layer's rectangles in encounter order — the
-     same list a repeated assoc-and-append fold produces, built in linear
-     time so a 10k-instance die exports in milliseconds, not minutes. *)
-  let merged =
-    let regions = Hashtbl.create 16 in
-    let last = Hashtbl.create 16 in
-    List.iteri
-      (fun i (layer, region) ->
-        Hashtbl.replace last layer i;
-        Hashtbl.replace regions layer
-          (region
-          :: (match Hashtbl.find_opt regions layer with
-             | Some rs -> rs
-             | None -> [])))
-      top_layers;
-    Hashtbl.fold (fun layer i acc -> (layer, i) :: acc) last []
-    |> List.sort (fun (_, a) (_, b) -> Stdlib.compare (b : int) a)
-    |> List.map (fun (layer, _) ->
-           ( layer,
-             Geom.Region.of_rects
-               (List.concat_map Geom.Region.rects
-                  (List.rev (Hashtbl.find regions layer))) ))
-  in
-  Ok
-    (Gds.Stream.library ~rules ~name
-       ((name ^ "_top", merged)
-       :: List.map (fun (n, l) -> (n, Layout.Cell.layers l)) (List.rev uniq)))
+  Gds.Stream.encode ~libname:name
+    ~user_unit_m:(Gds.Stream.user_unit_m lib.Stdcell.Library.rules)
+    ((name ^ "_top", Gds.Stream.Layers top)
+    :: Array.to_list (Array.map cell_structure cells))

@@ -1,12 +1,14 @@
-(** Stream a placed design (or single cells) out to GDSII. *)
-
-val cell_library : rules:Pdk.Rules.t -> name:string -> Layout.Cell.t list
-  -> Gds.Stream.library
-(** One GDS structure per cell. *)
+(** Stream a placed design out to GDSII. *)
 
 val placement : lib:Stdcell.Library.t
   -> scheme:[ `S1 | `S2 ] -> name:string -> Placer.t
-  -> (Gds.Stream.library, Core.Diag.t) result
-(** The placed design flattened into one top structure (plus one structure
-    per referenced cell).  Errors when a placed instance has no library
-    cell. *)
+  -> (string, Core.Diag.t) result
+(** The GDSII stream of the placed design: library [name], a top
+    structure [name ^ "_top"] with every placed instance flattened into
+    it, then one structure per referenced cell in first-placement order.
+    Top-structure layers are ordered by their last occurrence across the
+    placement, most recent first, each listing its rectangles in
+    placement order.  Each cell's layers are computed once however often
+    it is placed.  Errors when a placed instance has no library cell, or
+    when a record outgrows GDSII's 16-bit length (see
+    {!Gds.Stream.encode}). *)

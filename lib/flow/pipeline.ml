@@ -25,8 +25,8 @@ type result_t = {
   netlist : Netlist_ir.t;
   placement : Placer.t;
   cells : Layout.Cell.t list;
-  gds : Gds.Stream.library;
   gds_bytes : string;
+  spec_digest : string;
 }
 
 (* Digest helpers: each pass is keyed by what actually feeds it, so an
@@ -55,16 +55,14 @@ let place_params s =
       Printf.sprintf "anneal:%d:%g:%d" c.Anneal.iterations c.Anneal.start_temp
         c.Anneal.seed)
 
-let spec_digest s =
-  Digest.to_hex
-    (Digest.string
-       (source_digest s.source ^ ":" ^ place_params s ^ ":" ^ s.top_name))
-
 (* Stage artifacts thread the spec along so downstream passes see their
    parameters without the passes themselves being parameterized (they must
-   be top-level values for the artifact cache to work across runs). *)
+   be top-level values for the artifact cache to work across runs).  The
+   netlist digest rides along too: it keys every pass after parse and is
+   computed once per run (for a [`Netlist] source it is the source digest
+   itself). *)
 
-type staged = { spec : spec; netlist : Netlist_ir.t }
+type staged = { spec : spec; netlist : Netlist_ir.t; digest : string }
 type placed = { s : staged; placement : Placer.t }
 type laid_out = { p : placed; cells : Layout.Cell.t list }
 
@@ -73,23 +71,25 @@ type laid_out = { p : placed; cells : Layout.Cell.t list }
    artifacts: a parse hit must not resurrect the spec (scheme, aspect,
    anneal, top name) that was live when the artifact was stored. *)
 
+(* The parse pass takes the spec paired with its source digest, which
+   {!run} computes once up front. *)
 let parse_pass =
   Core.Pass.make ~name:"parse"
-    ~digest:(fun s -> source_digest s.source)
-    ~refresh:(fun s st -> { st with spec = s })
+    ~digest:(fun (_, source_digest) -> source_digest)
+    ~refresh:(fun (s, _) st -> { st with spec = s })
     ~counters:(fun st ->
       [ ("instances", List.length st.netlist.Netlist_ir.instances) ])
-    (fun s ->
+    (fun (s, source_digest) ->
       match s.source with
-      | `Netlist n -> Ok { spec = s; netlist = n }
+      | `Netlist n -> Ok { spec = s; netlist = n; digest = source_digest }
       | `Text t -> (
         match Netlist_ir.of_string t with
-        | Ok n -> Ok { spec = s; netlist = n }
+        | Ok n -> Ok { spec = s; netlist = n; digest = Netlist_ir.digest n }
         | Error d -> Error d))
 
 let validate_pass =
   Core.Pass.make ~name:"validate"
-    ~digest:(fun st -> Netlist_ir.digest st.netlist)
+    ~digest:(fun st -> st.digest)
     ~refresh:(fun st _cached -> st)
     ~counters:(fun st ->
       [
@@ -107,7 +107,7 @@ let place_pass =
   Core.Pass.make ~name:"place"
     ~digest:(fun st ->
       Digest.to_hex
-        (Digest.string (Netlist_ir.digest st.netlist ^ place_params st.spec)))
+        (Digest.string (st.digest ^ place_params st.spec)))
     ~refresh:(fun st p -> { p with s = st })
     ~counters:(fun p ->
       [
@@ -137,7 +137,7 @@ let layout_pass =
   Core.Pass.make ~name:"layout"
     ~digest:(fun p ->
       Digest.to_hex
-        (Digest.string (Netlist_ir.digest p.s.netlist ^ place_params p.s.spec)))
+        (Digest.string (p.s.digest ^ place_params p.s.spec)))
     ~refresh:(fun p l -> { l with p })
     ~counters:(fun l ->
       [
@@ -170,34 +170,26 @@ let layout_pass =
       in
       Ok { p; cells = List.rev cells })
 
+(* The stream holds the top structure plus one structure per unique
+   cell. *)
 let export_pass =
   Core.Pass.make ~name:"export"
     ~digest:(fun l ->
       Digest.to_hex
         (Digest.string
-           (Netlist_ir.digest l.p.s.netlist ^ place_params l.p.s.spec ^ ":"
+           (l.p.s.digest ^ place_params l.p.s.spec ^ ":"
           ^ l.p.s.spec.top_name)))
-    ~counters:(fun r ->
+    ~counters:(fun (l, gds) ->
       [
-        ("structures", List.length r.gds.Gds.Stream.structures);
-        ("gds_bytes", String.length r.gds_bytes);
+        ("structures", 1 + List.length l.cells);
+        ("gds_bytes", String.length gds);
       ])
     (fun l ->
       let s = l.p.s.spec in
-      match
-        Gds_export.placement ~lib:s.lib ~scheme:s.scheme ~name:s.top_name
-          l.p.placement
-      with
-      | Error _ as e -> e
-      | Ok gds ->
-        Ok
-          {
-            netlist = l.p.s.netlist;
-            placement = l.p.placement;
-            cells = l.cells;
-            gds;
-            gds_bytes = Gds.Stream.to_bytes gds;
-          })
+      Result.map
+        (fun gds -> (l, gds))
+        (Gds_export.placement ~lib:s.lib ~scheme:s.scheme ~name:s.top_name
+           l.p.placement))
 
 let flow =
   Core.Pass.(
@@ -232,21 +224,40 @@ let telemetry_trace = function
       n
 
 let run ?cache ?trace s =
-  if not (Telemetry.enabled ()) then Core.Pass.execute ?cache ?trace flow s
-  else
-    Telemetry.with_span "flow"
-      ~attrs:
-        [
-          ("top", Telemetry.String s.top_name);
-          ("scheme", Telemetry.String (scheme_string s.scheme));
-        ]
-    @@ fun () ->
-    let trace =
-      match trace with
-      | None -> telemetry_trace
-      | Some t ->
-        fun e ->
-          t e;
-          telemetry_trace e
-    in
-    Core.Pass.execute ?cache ~trace flow s
+  let source_digest = source_digest s.source in
+  let input = (s, source_digest) in
+  let result, report =
+    if not (Telemetry.enabled ()) then
+      Core.Pass.execute ?cache ?trace flow input
+    else
+      Telemetry.with_span "flow"
+        ~attrs:
+          [
+            ("top", Telemetry.String s.top_name);
+            ("scheme", Telemetry.String (scheme_string s.scheme));
+          ]
+      @@ fun () ->
+      let trace =
+        match trace with
+        | None -> telemetry_trace
+        | Some t ->
+          fun e ->
+            t e;
+            telemetry_trace e
+      in
+      Core.Pass.execute ?cache ~trace flow input
+  in
+  ( Result.map
+      (fun (l, gds_bytes) ->
+        {
+          netlist = l.p.s.netlist;
+          placement = l.p.placement;
+          cells = l.cells;
+          gds_bytes;
+          spec_digest =
+            Digest.to_hex
+              (Digest.string
+                 (source_digest ^ ":" ^ place_params s ^ ":" ^ s.top_name));
+        })
+      result,
+    report )

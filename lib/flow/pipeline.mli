@@ -34,8 +34,12 @@ type result_t = {
   netlist : Netlist_ir.t;
   placement : Placer.t;
   cells : Layout.Cell.t list;  (** unique layouts referenced by the design *)
-  gds : Gds.Stream.library;
   gds_bytes : string;  (** serialized GDSII stream *)
+  spec_digest : string;
+      (** fingerprint of the complete spec: source digest plus every
+          placement parameter ([lib], [scheme], [aspect], [anneal],
+          [top_name]).  Two specs with equal digests produce identical
+          flow results, so this is a sound whole-run cache key. *)
 }
 
 val pass_names : string list
@@ -47,12 +51,6 @@ val source_digest : [ `Text of string | `Netlist of Netlist_ir.t ] -> string
     above the flow (the job service's result cache) can agree with the
     pipeline on what "the same design source" means. *)
 
-val spec_digest : spec -> string
-(** Fingerprint of the complete spec: source digest plus every placement
-    parameter ([lib], [scheme], [aspect], [anneal], [top_name]).  Two
-    specs with equal digests produce identical flow results, so this is a
-    sound whole-run cache key. *)
-
 val telemetry_trace : Core.Pass.trace_event -> unit
 (** Bridge from pass-manager trace events to {!Telemetry} spans: each
     Enter/Exit pair becomes a span carrying the pass's artifact counters
@@ -63,7 +61,9 @@ val telemetry_trace : Core.Pass.trace_event -> unit
 
 val run : ?cache:Core.Pass.cache -> ?trace:(Core.Pass.trace_event -> unit)
   -> spec -> (result_t, Core.Diag.t) result * Core.Pass.report
-(** Execute the flow.  The report always covers the passes that ran, also
+(** Execute the flow.  The design's digests are computed once per run
+    and threaded through the passes, which key the artifact cache on
+    them.  The report always covers the passes that ran, also
     on error.  When {!Telemetry.enabled}, the whole run is wrapped in a
     ["flow"] span and every pass event is mirrored through
     {!telemetry_trace} (composed with [?trace] if both are given), so one

@@ -39,7 +39,7 @@ let run_flow ~pass_cache (j : Job.flow_job) =
          ("die_height", Json.int p.Flow.Placer.die_height);
          ("utilization", Json.Num (Flow.Placer.utilization p));
          ("gds_bytes", Json.int (String.length r.Flow.Pipeline.gds_bytes));
-         ("spec_digest", Json.Str (Flow.Pipeline.spec_digest spec));
+         ("spec_digest", Json.Str r.Flow.Pipeline.spec_digest);
        ])
 
 let run_fault ~pool (j : Job.fault_job) =

@@ -379,13 +379,83 @@ let placer_unknown_drive_diag () =
 let gds_export_placement () =
   let fa = Flow.Full_adder.netlist () in
   let p = ok (Flow.Placer.shelves ~lib fa) in
-  let g = ok (Flow.Gds_export.placement ~lib ~scheme:`S2 ~name:"fa" p) in
-  (* top + unique cells: INV_{4,7,9}X + NAND2_2X = 5 structures *)
-  check_int "structures" 5 (List.length g.Gds.Stream.structures);
-  match Gds.Stream.of_bytes (Gds.Stream.to_bytes g) with
-  | Ok back ->
-    check_int "round trip structures" 5 (List.length back.Gds.Stream.structures)
+  let bytes = ok (Flow.Gds_export.placement ~lib ~scheme:`S2 ~name:"fa" p) in
+  match Gds.Stream.of_bytes bytes with
+  | Ok g ->
+    (* top + unique cells: INV_{4,7,9}X + NAND2_2X = 5 structures *)
+    check_int "structures" 5 (List.length g.Gds.Stream.structures);
+    checkb "re-encoding the parsed stream reproduces it" true
+      (Gds.Stream.to_bytes g = bytes)
   | Error e -> Alcotest.fail e
+
+(* The pipeline's GDS stream, as the CLI and the service run it: the
+   library the design's drives need, default top name, aspect 1.0. *)
+let pipeline_gds design scheme =
+  let n = ok (Flow.Generate.of_spec design) in
+  let drives =
+    List.sort_uniq compare
+      (List.map
+         (fun (i : Flow.Netlist_ir.instance) -> i.Flow.Netlist_ir.drive)
+         n.Flow.Netlist_ir.instances)
+  in
+  let lib = ok (Stdcell.Library.cnfet ~drives ()) in
+  let r, report =
+    Flow.Pipeline.run (Flow.Pipeline.spec_of_netlist ~scheme ~lib n)
+  in
+  (ok r, report)
+
+(* md5 of the stream per scheme, recorded from the list-of-records writer
+   the encoder replaced: the encoder must stay byte-identical. *)
+let gds_digest_pinned design ~s1 ~s2 () =
+  List.iter
+    (fun (scheme, tag, want) ->
+      let r, _ = pipeline_gds design scheme in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s md5" design tag)
+        want
+        (Digest.to_hex (Digest.string r.Flow.Pipeline.gds_bytes)))
+    [ (`S1, "s1", s1); (`S2, "s2", s2) ]
+
+let export_counters_pinned () =
+  List.iter
+    (fun (design, scheme, structures, gds_bytes) ->
+      let r, report = pipeline_gds design scheme in
+      let export =
+        List.find
+          (fun p -> p.Core.Pass.pass_name = "export")
+          report.Core.Pass.passes
+      in
+      Alcotest.(check (list (pair string int)))
+        (design ^ " export counters")
+        [ ("structures", structures); ("gds_bytes", gds_bytes) ]
+        export.Core.Pass.counters;
+      check_int (design ^ " stream length") gds_bytes
+        (String.length r.Flow.Pipeline.gds_bytes))
+    [
+      ("full_adder", `S2, 5, 19386);
+      ("mult8", `S1, 5, 799792);
+      ("lfsr24x60", `S1, 3, 617112);
+      ("rand400s820", `S1, 9, 907900);
+    ]
+
+(* Export's allocation budget per placed instance: the per-layer block and
+   offset arrays.  The stream itself is one major-heap buffer.  A writer
+   that builds per-rectangle elements or records lands far above. *)
+let export_allocation_pin () =
+  let n = ok (Flow.Generate.of_spec "mult11") in
+  let p = ok (Flow.Placer.rows ~lib:lib1 n) in
+  let export () =
+    ignore (ok (Flow.Gds_export.placement ~lib:lib1 ~scheme:`S1 ~name:"m" p))
+  in
+  export ();
+  let w0 = Gc.minor_words () in
+  export ();
+  let per_instance =
+    (Gc.minor_words () -. w0) /. float_of_int (List.length p.Flow.Placer.cells)
+  in
+  if per_instance > 500. then
+    Alcotest.failf "export allocates %.0f words per instance (pin: 500)"
+      per_instance
 
 let suite =
   [
@@ -423,5 +493,19 @@ let suite =
       placer_unknown_cell_diag;
     Alcotest.test_case "placer unknown drive diagnostic" `Quick
       placer_unknown_drive_diag;
+    Alcotest.test_case "gds md5 pinned: full_adder" `Quick
+      (gds_digest_pinned "full_adder" ~s1:"767a392b564acf7377fd9d77048875e3"
+         ~s2:"0728b431002ee0d26ae49fd18623faaa");
+    Alcotest.test_case "gds md5 pinned: mult8" `Quick
+      (gds_digest_pinned "mult8" ~s1:"61e571a19889ce37101075de60710e74"
+         ~s2:"c4a14543d9df9f9af2611b5ff405cc1b");
+    Alcotest.test_case "gds md5 pinned: lfsr24x60" `Quick
+      (gds_digest_pinned "lfsr24x60" ~s1:"4ee65ea612e3eb8bf9f5c734f19cce1e"
+         ~s2:"39bfd7119997cd3d22c30b3cd05bca6b");
+    Alcotest.test_case "gds md5 pinned: rand400s820" `Quick
+      (gds_digest_pinned "rand400s820" ~s1:"ecc5d32aa6198e11b21554e059936ca9"
+         ~s2:"b179dd605eba5ae38c91600e3a7bc729");
+    Alcotest.test_case "export counters pinned" `Quick export_counters_pinned;
+    Alcotest.test_case "export allocation pin" `Quick export_allocation_pin;
     QCheck_alcotest.to_alcotest mapper_random_equivalence;
   ]

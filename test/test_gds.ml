@@ -180,6 +180,195 @@ let record_roundtrip_random =
       | Some back -> back = records
       | None -> false)
 
+(* --- the encoder --- *)
+
+(* The stream {!Gds.Stream.encode} must produce, spelled out record by
+   record through {!Gds.Record.encode}. *)
+let reference_stream ~libname ~user_unit_m structures =
+  let buf = Buffer.create 256 in
+  let put rtype payload = Gds.Record.encode buf { Gds.Record.rtype; payload } in
+  let stamp = [ 2009; 3; 16; 0; 0; 0 ] in
+  let boundary layer datatype xy =
+    put Gds.Record.Boundary Gds.Record.No_data;
+    put Gds.Record.Layer (Gds.Record.I16 [ layer ]);
+    put Gds.Record.Datatype (Gds.Record.I16 [ datatype ]);
+    put Gds.Record.Xy
+      (Gds.Record.I32 (List.concat_map (fun (x, y) -> [ x; y ]) xy));
+    put Gds.Record.Endel Gds.Record.No_data
+  in
+  put Gds.Record.Header (Gds.Record.I16 [ 600 ]);
+  put Gds.Record.Bgnlib (Gds.Record.I16 (stamp @ stamp));
+  put Gds.Record.Libname (Gds.Record.Ascii libname);
+  put Gds.Record.Units (Gds.Record.Real8 [ 1.0; user_unit_m ]);
+  List.iter
+    (fun (name, body) ->
+      put Gds.Record.Bgnstr (Gds.Record.I16 (stamp @ stamp));
+      put Gds.Record.Strname (Gds.Record.Ascii name);
+      (match body with
+      | Gds.Stream.Elements es ->
+        List.iter
+          (fun (e : Gds.Stream.element) ->
+            boundary e.Gds.Stream.layer e.Gds.Stream.datatype e.Gds.Stream.xy)
+          es
+      | Gds.Stream.Layers layers ->
+        Array.iter
+          (fun (l : Gds.Stream.layer) ->
+            Array.iteri
+              (fun k rects ->
+                Array.iter
+                  (fun r ->
+                    let r =
+                      Geom.Rect.translate ~dx:l.Gds.Stream.dx.(k)
+                        ~dy:l.Gds.Stream.dy.(k) r
+                    in
+                    boundary l.Gds.Stream.number 0
+                      (Gds.Stream.element_of_rect ~layer:0 r).Gds.Stream.xy)
+                  rects)
+              l.Gds.Stream.blocks)
+          layers);
+      put Gds.Record.Endstr Gds.Record.No_data)
+    structures;
+  put Gds.Record.Endlib Gds.Record.No_data;
+  Buffer.contents buf
+
+(* The boundaries a body stands for, as {!Gds.Stream.of_bytes} reads
+   them back. *)
+let elements_of_body = function
+  | Gds.Stream.Elements es -> es
+  | Gds.Stream.Layers layers ->
+    List.concat_map
+      (fun (l : Gds.Stream.layer) ->
+        List.concat
+          (List.mapi
+             (fun k rects ->
+               List.map
+                 (fun r ->
+                   Gds.Stream.element_of_rect ~layer:l.Gds.Stream.number
+                     (Geom.Rect.translate ~dx:l.Gds.Stream.dx.(k)
+                        ~dy:l.Gds.Stream.dy.(k) r))
+                 (Array.to_list rects))
+             (Array.to_list l.Gds.Stream.blocks)))
+      (Array.to_list layers)
+
+(* Random libraries: names of odd and even length (empty included),
+   negative coordinates and offsets, empty structures, layers and
+   blocks, and layer numbers drawn from a small range so they repeat. *)
+let library_arb =
+  let open QCheck.Gen in
+  let name =
+    string_size ~gen:(map Char.chr (int_range 97 122)) (int_range 0 7)
+  in
+  let coord = int_range (-2000) 2000 in
+  let rect =
+    let* x = coord and* y = coord in
+    let* w = int_range 0 60 and* h = int_range 0 60 in
+    return (Geom.Rect.of_size ~x ~y ~w ~h)
+  in
+  let layer =
+    let* number = int_range 100 103 in
+    let* blocks =
+      array_size (int_range 0 3) (array_size (int_range 0 3) rect)
+    in
+    let n = Array.length blocks in
+    let* dx = array_repeat n coord and* dy = array_repeat n coord in
+    return { Gds.Stream.number; blocks; dx; dy }
+  in
+  let element =
+    let* layer = int_range 0 255 and* datatype = int_range 0 3 in
+    let* xy = list_size (int_range 0 6) (pair coord coord) in
+    return { Gds.Stream.layer; datatype; xy }
+  in
+  let body =
+    oneof
+      [
+        map
+          (fun ls -> Gds.Stream.Layers ls)
+          (array_size (int_range 0 4) layer);
+        map
+          (fun es -> Gds.Stream.Elements es)
+          (list_size (int_range 0 4) element);
+      ]
+  in
+  let gen =
+    let* libname = name in
+    let* user_unit_m = oneofl [ 1e-9; 32.5e-9; 1e-6 ] in
+    let* structures = list_size (int_range 0 4) (pair name body) in
+    return (libname, user_unit_m, structures)
+  in
+  let print (libname, _, structures) =
+    Printf.sprintf "lib %S: %s" libname
+      (String.concat "; "
+         (List.map
+            (fun (n, body) ->
+              Printf.sprintf "%S (%d boundaries)" n
+                (List.length (elements_of_body body)))
+            structures))
+  in
+  QCheck.make ~print gen
+
+let encode_ok ~libname ~user_unit_m structures =
+  Core.Diag.ok_exn (Gds.Stream.encode ~libname ~user_unit_m structures)
+
+let encoder_matches_records =
+  QCheck.Test.make ~name:"encoder equals the record-by-record stream"
+    ~count:300 library_arb (fun (libname, user_unit_m, structures) ->
+      encode_ok ~libname ~user_unit_m structures
+      = reference_stream ~libname ~user_unit_m structures)
+
+let encoder_roundtrip =
+  QCheck.Test.make ~name:"encoder output parses back to its boundaries"
+    ~count:300 library_arb (fun (libname, user_unit_m, structures) ->
+      match
+        Gds.Stream.of_bytes (encode_ok ~libname ~user_unit_m structures)
+      with
+      | Error _ -> false
+      | Ok back ->
+        back.Gds.Stream.libname = libname
+        && List.map
+             (fun (s : Gds.Stream.structure) ->
+               (s.Gds.Stream.sname, s.Gds.Stream.elements))
+             back.Gds.Stream.structures
+           = List.map (fun (n, body) -> (n, elements_of_body body)) structures)
+
+(* A record's length is a 16-bit field: anything longer is a diagnostic
+   naming the record, never a wrapped length. *)
+let encoder_rejects_long_records () =
+  let rejects what ~record ~length ?(libname = "lib") structures =
+    match Gds.Stream.encode ~libname ~user_unit_m:1e-9 structures with
+    | Ok _ -> Alcotest.failf "%s: encoded a %d-byte record" what length
+    | Error d ->
+      Alcotest.(check string) (what ^ " stage") "gds" d.Core.Diag.stage;
+      Alcotest.(check (list (pair string string)))
+        (what ^ " context")
+        [ ("record", record); ("length", string_of_int length) ]
+        d.Core.Diag.context
+  in
+  let points n = List.init n (fun i -> (i, -i)) in
+  let boundary n =
+    Gds.Stream.Elements
+      [ { Gds.Stream.layer = 1; datatype = 0; xy = points n } ]
+  in
+  rejects "long library name" ~record:"LIBNAME" ~length:70004
+    ~libname:(String.make 70000 'x') [];
+  (* an odd name pads to an even length: 4 + 65531 + 1 *)
+  rejects "padded structure name" ~record:"STRNAME" ~length:65536
+    [ (String.make 65531 'a', Gds.Stream.Elements []) ];
+  rejects "long point list" ~record:"XY" ~length:65540 [ ("s", boundary 8192) ];
+  (* the longest records that fit still encode *)
+  checkb "65,530-character name and 8,191 points fit" true
+    (Result.is_ok
+       (Gds.Stream.encode ~libname:"lib" ~user_unit_m:1e-9
+          [ (String.make 65530 'a', boundary 8191) ]));
+  match
+    Gds.Stream.to_bytes
+      { Gds.Stream.libname = String.make 70000 'x'; user_unit_m = 1e-9;
+        structures = [] }
+  with
+  | exception Core.Diag.Failure d ->
+    Alcotest.(check string) "to_bytes raises the diagnostic" "gds"
+      d.Core.Diag.stage
+  | _ -> Alcotest.fail "to_bytes wrote a wrapped record length"
+
 let stream_units () =
   let lib =
     Gds.Stream.library ~rules:Pdk.Rules.default ~name:"units" []
@@ -247,4 +436,8 @@ let suite =
     QCheck_alcotest.to_alcotest real8_roundtrip;
     QCheck_alcotest.to_alcotest record_roundtrip_random;
     QCheck_alcotest.to_alcotest stream_roundtrip_random;
+    QCheck_alcotest.to_alcotest encoder_matches_records;
+    QCheck_alcotest.to_alcotest encoder_roundtrip;
+    Alcotest.test_case "encoder rejects long records" `Quick
+      encoder_rejects_long_records;
   ]

@@ -208,6 +208,44 @@ let flow_cache_skips_upstream () =
   checkb "layout re-run" false (cached_of "layout");
   checkb "export re-run" false (cached_of "export")
 
+(* Pass-cache keys and spec digests, recorded before the netlist digest
+   was threaded through the passes: computing it once per run must not
+   change a single key. *)
+let flow_cache_keys_pinned () =
+  let fa = Flow.Full_adder.netlist () in
+  List.iter
+    (fun (spec, keys, spec_digest) ->
+      let cache = Core.Pass.cache_create () in
+      let r, _ = Flow.Pipeline.run ~cache spec in
+      (match r with
+      | Ok res ->
+        check_str "spec digest" spec_digest res.Flow.Pipeline.spec_digest
+      | Error d -> Alcotest.fail (Core.Diag.to_string d));
+      Alcotest.(check (list (pair string string)))
+        "cache keys" keys
+        (List.sort compare (Core.Pass.cache_entries cache)))
+    [
+      ( Flow.Pipeline.spec_of_netlist ~scheme:`S2 ~lib fa,
+        [
+          ("export", "f95435dbf36b38bed7637b5eef042bf7");
+          ("layout", "6f628cd50408f7830c79042d5447c6df");
+          ("parse", "a4a251d8b60b1414e6ab9886db1d4e3b");
+          ("place", "6f628cd50408f7830c79042d5447c6df");
+          ("validate", "a4a251d8b60b1414e6ab9886db1d4e3b");
+        ],
+        "aec95d7f20f195e2c741949001b942b3" );
+      ( Flow.Pipeline.spec_of_text ~scheme:`S1 ~lib
+          ("# pinned\n" ^ Flow.Netlist_ir.to_string fa),
+        [
+          ("export", "e00ccd35e8e0060a5688a3ead7f3d7a1");
+          ("layout", "689d5f866f9f004bda7d91fcb3945eac");
+          ("parse", "6da7fc93f6ff2f628ce929b0321c5fad");
+          ("place", "689d5f866f9f004bda7d91fcb3945eac");
+          ("validate", "a4a251d8b60b1414e6ab9886db1d4e3b");
+        ],
+        "165803cdb295a2f7b296922f38748401" );
+    ]
+
 let flow_reports_diagnostics () =
   (* an unknown cell fails validation with a stage-tagged diagnostic, and
      the report still covers the passes that ran *)
@@ -250,6 +288,7 @@ let suite =
     Alcotest.test_case "flow runs" `Slow flow_runs;
     Alcotest.test_case "flow cache skips upstream" `Slow
       flow_cache_skips_upstream;
+    Alcotest.test_case "flow cache keys pinned" `Quick flow_cache_keys_pinned;
     Alcotest.test_case "flow reports diagnostics" `Quick
       flow_reports_diagnostics;
   ]

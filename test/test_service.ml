@@ -529,6 +529,29 @@ let failed_job_reported () =
         check_int "failure counted" 1 (Scheduler.stats t).Scheduler.failed
       | _ -> Alcotest.fail "broken netlist must fail, not crash or succeed")
 
+(* A design name longer than a GDSII record can hold used to pass
+   validation, run "ok" and serve a stream whose LIBNAME length had
+   wrapped.  It must fail as a job, with the record named. *)
+let oversized_gds_record_fails () =
+  let job =
+    Job.flow
+      (Job.Netlist_text
+         ("design " ^ String.make 70000 'x'
+         ^ "\ninput a\noutput z\ninst u1 INV 4 out=z a=a\n"))
+  in
+  checkb "job validates" true (Job.validate job = Ok ());
+  Parallel.Pool.with_pool ~domains:1 (fun pool ->
+      match
+        Service.Runner.run ~pool ~pass_cache:(Core.Pass.cache_create ()) job
+      with
+      | Ok _ -> Alcotest.fail "an unencodable stream was reported ok"
+      | Error d ->
+        check_str "stage" "gds" d.Core.Diag.stage;
+        Alcotest.(check (list (pair string string)))
+          "context"
+          [ ("record", "LIBNAME"); ("length", "70004"); ("pass", "export") ]
+          d.Core.Diag.context)
+
 (* --- replay: full determinism including caching --- *)
 
 let replay_bit_for_bit () =
@@ -1273,6 +1296,8 @@ let suite =
       priority_and_fifo_order;
     Alcotest.test_case "cancel queued job" `Quick cancel_queued_job;
     Alcotest.test_case "failed job reported" `Quick failed_job_reported;
+    Alcotest.test_case "oversized gds record fails" `Quick
+      oversized_gds_record_fails;
     Alcotest.test_case "replay bit for bit" `Slow replay_bit_for_bit;
     Alcotest.test_case "replay capacity rejections" `Quick
       replay_capacity_rejections;
